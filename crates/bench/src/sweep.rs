@@ -808,13 +808,16 @@ pub fn wallclock_document(cache: &RunCache, stages: &[crate::hostprof::StageStat
         ),
         // Process-wide kernel scheduling counters: how many same-instant
         // wake-ups the direct-handoff path served without a controller
-        // round-trip. Machine/schedule-independent for a given sweep, but
-        // reported here (not in the gated artifacts) alongside wall-clock.
+        // round-trip, and how many of those resumed the draining process
+        // itself (no thread switch). Machine/schedule-independent for a
+        // given sweep, but reported here (not in the gated artifacts)
+        // alongside wall-clock.
         (
             "handoff",
             obj(vec![
                 ("direct", num(handoff.direct)),
                 ("via_controller", num(handoff.via_controller)),
+                ("self_resumes", num(handoff.self_resumes)),
                 (
                     "direct_share",
                     if handoff.total() > 0 {

@@ -28,6 +28,21 @@
 //! [`HandoffStats`] (per run) and in process-wide totals ([`handoff_totals`])
 //! for wall-clock reporting.
 //!
+//! ## Waking a thread after the lock is released
+//!
+//! Every scheduling decision — which process runs next, every clock
+//! advance — is made under the group's scheduler mutex, but the OS-level
+//! wake of the chosen thread happens only after that mutex is released.
+//! Waking first would start a lock convoy: on a single CPU the woken thread
+//! preempts the waker, immediately blocks on the mutex the waker still
+//! holds, and the waker must be scheduled again just to release it — up to
+//! three context switches per handoff instead of one. Process threads are
+//! woken through a per-process park/unpark baton (the chosen process
+//! re-checks `Sched::running` under the lock, so a stale or spurious unpark
+//! costs one loop iteration); event-loop threads through the group's
+//! `ctl_cv`, also notified only after unlocking. A drain that wakes the very
+//! process doing the draining (a *self-resume*) switches no thread at all.
+//!
 //! ## The parallel kernel
 //!
 //! With [`Sim::set_workers`]` > 1` and a network model that exports a
@@ -46,7 +61,8 @@
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
 
 use vopp_trace::{CausalProfiler, CtxKind, EventKind, Tracer, NO_CTX};
 
@@ -70,6 +86,9 @@ pub struct HandoffStats {
     pub direct: u64,
     /// Wake-ups that went through the controller thread.
     pub via_controller: u64,
+    /// The subset of `direct` wake-ups where the draining process resumed
+    /// itself: no OS thread switch at all.
+    pub self_resumes: u64,
 }
 
 impl HandoffStats {
@@ -82,6 +101,7 @@ impl HandoffStats {
 /// Process-wide handoff totals, accumulated across every finished run.
 static TOTAL_DIRECT: AtomicU64 = AtomicU64::new(0);
 static TOTAL_VIA_CTL: AtomicU64 = AtomicU64::new(0);
+static TOTAL_SELF_RESUMES: AtomicU64 = AtomicU64::new(0);
 /// Process-wide default for [`Sim::set_direct_handoff`].
 static DIRECT_HANDOFF_DEFAULT: AtomicBool = AtomicBool::new(true);
 /// Process-wide default for [`Sim::set_workers`].
@@ -146,6 +166,7 @@ pub fn handoff_totals() -> HandoffStats {
     HandoffStats {
         direct: TOTAL_DIRECT.load(Ordering::Relaxed),
         via_controller: TOTAL_VIA_CTL.load(Ordering::Relaxed),
+        self_resumes: TOTAL_SELF_RESUMES.load(Ordering::Relaxed),
     }
 }
 
@@ -678,13 +699,16 @@ pub(crate) struct WinSync {
     pub(crate) svc_panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
-/// Shared kernel state: the per-group schedulers plus the condition
-/// variables used for the event-loop/process handoffs.
+/// Shared kernel state: the per-group schedulers plus the thread handles
+/// used for the event-loop/process handoffs.
 pub(crate) struct Shared {
     pub(crate) groups: Vec<Group>,
     /// Group index of each process.
     pub(crate) group_of: Vec<usize>,
-    pub(crate) proc_cv: Vec<Condvar>,
+    /// Each process's OS thread, unparked (after the scheduler lock is
+    /// released) when the process is handed control. Set by the spawner
+    /// before any event runs.
+    threads: Vec<OnceLock<Thread>>,
     pub(crate) nprocs: usize,
     pub(crate) win: WinSync,
     /// Service handlers, shared so whichever thread pops a `Svc` delivery —
@@ -720,49 +744,77 @@ impl Shared {
     /// blocked state it wants. If a queued event wakes a process, control
     /// transfers directly; the group's event loop is only notified when the
     /// drain cannot continue (empty window, shutdown, or handoff disabled).
+    /// Either wake is issued after the scheduler lock is released.
     pub(crate) fn yield_and_wait<'a>(&'a self, me: ProcId, s: &mut MutexGuard<'a, Sched>) {
         debug_assert_eq!(s.running, Some(me));
         s.running = None;
-        if !self.try_handoff(me, s) {
-            self.group(me).ctl_cv.notify_one();
+        let grp = self.group(me);
+        match self.try_handoff(me, s) {
+            // Self-resume: this thread keeps the CPU.
+            Some(p) if p == me => {}
+            Some(p) => grp.sched.unlocked(s, || self.unpark(p)),
+            None => grp.sched.unlocked(s, || grp.ctl_cv.notify_one()),
         }
-        while s.running != Some(me) {
-            if s.shutdown {
-                // Unblock so the run can report the real error.
-                panic!("simulation shut down while proc {me} was blocked");
-            }
-            self.proc_cv[me].wait(s);
+        if !self.await_turn(me, s) {
+            // Unblock so the run can report the real error.
+            panic!("simulation shut down while proc {me} was blocked");
         }
         debug_assert_eq!(s.pi(me).phase, Phase::Running);
     }
 
+    /// Park process `me`'s thread, with the scheduler lock released, until
+    /// the scheduler hands it control. Returns `false` if the run shut down
+    /// first.
+    fn await_turn<'a>(&'a self, me: ProcId, s: &mut MutexGuard<'a, Sched>) -> bool {
+        while s.running != Some(me) {
+            if s.shutdown {
+                return false;
+            }
+            self.group(me).sched.unlocked(s, std::thread::park);
+        }
+        true
+    }
+
+    /// Wake process `p`'s thread. Call only with `p`'s scheduler unlocked:
+    /// the thread's first act is to take that lock.
+    fn unpark(&self, p: ProcId) {
+        self.threads[p]
+            .get()
+            .expect("process threads are registered before any event runs")
+            .unpark();
+    }
+
     /// Drain the group's event queue — in exactly the order the event loop
     /// would, advancing virtual time and running service handlers the same
-    /// way — until an event wakes a process. Returns `true` if a process was
-    /// woken (the event loop stays parked), `false` if it must take over:
-    /// the window is exhausted, handoff is disabled, or the run is shutting
-    /// down.
+    /// way — until an event wakes a process. Returns the woken process (the
+    /// event loop stays parked; the caller wakes its thread), or `None` if
+    /// the event loop must take over: the window is exhausted, handoff is
+    /// disabled, or the run is shutting down.
     ///
     /// Advancing `now` and running handlers from a process thread is safe:
     /// event execution is serialized per group by `Sched::draining` (set
     /// here, checked by the event loop's parking loop), and the event loop
     /// only reads scheduler state after reacquiring the lock.
-    fn try_handoff<'a>(&'a self, me: ProcId, s: &mut MutexGuard<'a, Sched>) -> bool {
+    fn try_handoff<'a>(&'a self, me: ProcId, s: &mut MutexGuard<'a, Sched>) -> Option<ProcId> {
         if !s.direct_handoff || s.panicked || s.shutdown {
-            return false;
+            return None;
         }
         s.draining = true;
         let woke = self.drain(me, s);
         s.draining = false;
+        if let Some(p) = woke {
+            s.handoff.direct += 1;
+            if p == me {
+                s.handoff.self_resumes += 1;
+            }
+        }
         woke
     }
 
     /// The loop body of [`Shared::try_handoff`]; `Sched::draining` is set.
-    fn drain<'a>(&'a self, me: ProcId, s: &mut MutexGuard<'a, Sched>) -> bool {
+    fn drain<'a>(&'a self, me: ProcId, s: &mut MutexGuard<'a, Sched>) -> Option<ProcId> {
         loop {
-            let Some(entry) = s.pop_due() else {
-                return false;
-            };
+            let entry = s.pop_due()?;
             debug_assert!(entry.at >= s.now, "event queue went backwards");
             s.now = entry.at;
             s.note_begin(&entry);
@@ -770,8 +822,7 @@ impl Shared {
                 Event::Resume(p) => match s.pi(p).phase {
                     Phase::Startup | Phase::BlockedResume => {
                         self.wake_now(s, p, entry.at, NO_CTX);
-                        s.handoff.direct += 1;
-                        return true;
+                        return Some(p);
                     }
                     Phase::Finished => {}
                     ref ph => unreachable!("resume for proc {p} in phase {ph:?}"),
@@ -801,7 +852,7 @@ impl Shared {
                                 std::panic::resume_unwind(e);
                             }
                             if s.panicked || s.shutdown {
-                                return false;
+                                return None;
                             }
                         }
                         DeliveryClass::App => {
@@ -809,8 +860,7 @@ impl Shared {
                             s.pi_mut(dst).mailbox.push_back(pkt);
                             if matches!(s.pi(dst).phase, Phase::WaitRecv { .. }) {
                                 self.wake_now(s, dst, entry.at, cause);
-                                s.handoff.direct += 1;
-                                return true;
+                                return Some(dst);
                             }
                         }
                         // One-sided write: lands in the preposted buffer with
@@ -829,8 +879,7 @@ impl Shared {
                     {
                         s.pi_mut(dst).timed_out = true;
                         self.wake_now(s, dst, entry.at, NO_CTX);
-                        s.handoff.direct += 1;
-                        return true;
+                        return Some(dst);
                     }
                     // Otherwise the timer is stale (the wait already ended).
                 }
@@ -869,9 +918,10 @@ impl Shared {
         r
     }
 
-    /// Mark process `p` runnable at virtual time `t` and notify its thread.
-    /// Shared by the event loops and the direct-handoff path; every clock
-    /// advance and its compute/blocked classification happens here.
+    /// Mark process `p` running at virtual time `t`. Shared by the event
+    /// loops and the direct-handoff path; every clock advance and its
+    /// compute/blocked classification happens here. The caller wakes `p`'s
+    /// thread once it has released the scheduler lock.
     /// `pkt_cause` is the delivered packet's causal stamp on receive wakes
     /// ([`NO_CTX`] for self-caused resumes and timer expiries).
     pub(crate) fn wake_now(
@@ -913,12 +963,11 @@ impl Shared {
         pi.clock = pi.clock.max(t);
         pi.phase = Phase::Running;
         s.running = Some(p);
-        self.proc_cv[p].notify_one();
     }
 
-    /// Hand control to process `p` at virtual time `t` and park this
-    /// event-loop thread until it is needed again. Must be called with the
-    /// group's scheduler locked. While parked, blocking processes drain the
+    /// Hand control to process `p` at virtual time `t` (waking its thread
+    /// with the lock released) and park this event-loop thread until it is
+    /// needed again. Must be called with the group's scheduler locked. While parked, blocking processes drain the
     /// event queue and chain wake-ups among themselves (direct handoff); the
     /// `draining` check keeps this loop parked even if the condvar wakes
     /// spuriously while a drain has the lock released for a service handler.
@@ -932,6 +981,7 @@ impl Shared {
     ) {
         self.wake_now(s, p, t, pkt_cause);
         s.handoff.via_controller += 1;
+        self.groups[gi].sched.unlocked(s, || self.unpark(p));
         while (s.running.is_some() || s.draining) && !s.panicked {
             self.groups[gi].ctl_cv.wait(s);
         }
@@ -947,8 +997,8 @@ impl Shared {
             drop(s);
             grp.ctl_cv.notify_all();
         }
-        for cv in &self.proc_cv {
-            cv.notify_all();
+        for p in 0..self.nprocs {
+            self.unpark(p);
         }
     }
 }
@@ -1141,7 +1191,7 @@ impl Sim {
         let shared = Shared {
             groups,
             group_of,
-            proc_cv: (0..nprocs).map(|_| Condvar::new()).collect(),
+            threads: (0..nprocs).map(|_| OnceLock::new()).collect(),
             nprocs,
             win: WinSync {
                 pending: AtomicUsize::new(0),
@@ -1175,7 +1225,7 @@ impl Sim {
         let mut results: Vec<Option<R>> = std::thread::scope(|scope| {
             let joins: Vec<_> = (0..nprocs)
                 .map(|p| {
-                    scope.spawn(move || {
+                    let join = scope.spawn(move || {
                         if par {
                             // Side effects produced while this thread runs a
                             // deferred window are captured into the group log.
@@ -1184,14 +1234,8 @@ impl Sim {
                             vopp_trace::set_thread_causal_sink(Some(cell));
                         }
                         // Wait for the first resume.
-                        {
-                            let mut s = shared.lock_proc(p);
-                            while s.running != Some(p) {
-                                if s.shutdown {
-                                    return None;
-                                }
-                                shared.proc_cv[p].wait(&mut s);
-                            }
+                        if !shared.await_turn(p, &mut shared.lock_proc(p)) {
+                            return None;
                         }
                         let r =
                             catch_unwind(AssertUnwindSafe(|| body(AppCtx::new(shared, p, nprocs))));
@@ -1210,14 +1254,18 @@ impl Sim {
                         if s.running == Some(p) {
                             s.running = None;
                         }
-                        shared.group(p).ctl_cv.notify_all();
                         drop(s);
+                        shared.group(p).ctl_cv.notify_all();
                         match r {
                             Ok(v) => Some(v),
                             Err(e) if first_panic => std::panic::resume_unwind(e),
                             Err(_) => None,
                         }
-                    })
+                    });
+                    shared.threads[p]
+                        .set(join.thread().clone())
+                        .expect("one thread per process");
+                    join
                 })
                 .collect();
 
@@ -1252,6 +1300,7 @@ impl Sim {
             proc_times.extend(s.procs.iter().map(|pi| pi.times));
             handoff.direct += s.handoff.direct;
             handoff.via_controller += s.handoff.via_controller;
+            handoff.self_resumes += s.handoff.self_resumes;
             if let Some(g) = s.global.take() {
                 net = Some(g.net);
             }
@@ -1262,6 +1311,7 @@ impl Sim {
         let end_time = proc_end.iter().copied().max().unwrap_or(SimTime::ZERO);
         TOTAL_DIRECT.fetch_add(handoff.direct, Ordering::Relaxed);
         TOTAL_VIA_CTL.fetch_add(handoff.via_controller, Ordering::Relaxed);
+        TOTAL_SELF_RESUMES.fetch_add(handoff.self_resumes, Ordering::Relaxed);
         add_window_totals(&win_stats);
         RunOutcome {
             results: results

@@ -6,6 +6,9 @@ use std::sync::{Arc, Mutex};
 
 use vopp_sim::{run_simple, DeliveryClass, PerfectNet, Sim, SimDuration, SimTime};
 
+mod common;
+use common::{ring_ends_in_diagnosed_panic, Fault};
+
 const LAT: SimDuration = SimDuration(50_000); // 50us
 
 #[test]
@@ -362,4 +365,25 @@ fn proc_times_classify_every_nanosecond() {
     // Proc 1 never blocks.
     assert_eq!(out.proc_times[1].compute_ns, 2_000_000);
     assert_eq!(out.proc_times[1].blocked_ns, 0);
+}
+
+#[test]
+fn long_chain_proc_panic_ends_sequential() {
+    for n in [64, 128] {
+        ring_ends_in_diagnosed_panic(n, 1, Fault::ProcPanic);
+    }
+}
+
+#[test]
+fn long_chain_svc_panic_ends_sequential() {
+    for n in [64, 128] {
+        ring_ends_in_diagnosed_panic(n, 1, Fault::SvcPanic);
+    }
+}
+
+#[test]
+fn long_chain_deadlock_ends_sequential() {
+    for n in [64, 128] {
+        ring_ends_in_diagnosed_panic(n, 1, Fault::Deadlock);
+    }
 }

@@ -10,6 +10,9 @@ use vopp_sim::{
     Tracer, MIN_PARALLEL_LOOKAHEAD,
 };
 
+mod common;
+use common::{ring_ends_in_diagnosed_panic, Fault};
+
 /// A deterministic model whose delivery times depend on *route call order*
 /// (`sent` feeds a jitter term) and on the destination's delivery backlog —
 /// so the identity assertions below also prove the commit replays sends in
@@ -343,4 +346,25 @@ fn svc_handler_panic_propagates_from_a_window() {
         }
         let _ = ctx.recv_timeout(SimDuration::from_millis(1));
     });
+}
+
+#[test]
+fn long_chain_proc_panic_ends_two_workers() {
+    for n in [64, 128] {
+        ring_ends_in_diagnosed_panic(n, 2, Fault::ProcPanic);
+    }
+}
+
+#[test]
+fn long_chain_svc_panic_ends_two_workers() {
+    for n in [64, 128] {
+        ring_ends_in_diagnosed_panic(n, 2, Fault::SvcPanic);
+    }
+}
+
+#[test]
+fn long_chain_deadlock_ends_two_workers() {
+    for n in [64, 128] {
+        ring_ends_in_diagnosed_panic(n, 2, Fault::Deadlock);
+    }
 }
