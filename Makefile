@@ -8,7 +8,7 @@ CRITPATH_BASELINE_DIR ?= crates/bench/baselines-critpath
 
 .PHONY: all check fmt clippy test tables tables-quick serve scaling netgen \
         bench bench-micro bench-wallclock baseline critpath baseline-critpath \
-        metrics-demo trace-demo racecheck parkernel clean
+        metrics-demo trace-demo racecheck clean
 
 all: check test
 
@@ -22,7 +22,7 @@ clippy:
 
 test:
 	cargo build --release
-	cargo test -q
+	cargo test -q --workspace
 
 tables:
 	cargo run -p vopp-bench --release --bin tables -- all
@@ -36,15 +36,12 @@ tables-quick:
 serve:
 	cargo run -p vopp-bench --release --bin tables -- serve --quick
 
-# The 64/128-node scaling family (docs/PERFORMANCE.md §7): IS/Gauss/SOR at
-# 64 and 128 nodes under LRC_d, HLRC, and VC_sd — the event-dense regime
-# the intra-run parallel kernel targets. Runs the family sequentially and
-# at `--sim-workers auto`, prints both sweep wall-clocks, and checks the
-# artifacts byte-identical. Opt-in like `ext`; not part of `all`.
+# The 64/128-node scaling family: IS/Gauss/SOR at 64 and 128 nodes under
+# LRC_d, HLRC, and VC_sd, the event-dense regime where kernel scheduling
+# dominates host time (docs/PERFORMANCE.md §4). Opt-in like `ext`; not
+# part of `all`.
 scaling:
-	cargo run -p vopp-bench --release --bin tables -- scaling --quick --metrics target/scaling-seq
-	cargo run -p vopp-bench --release --bin tables -- scaling --quick --sim-workers auto --metrics target/scaling-auto
-	diff -r --exclude=BENCH_wallclock.json target/scaling-seq target/scaling-auto
+	cargo run -p vopp-bench --release --bin tables -- scaling --quick --metrics target/scaling-metrics
 
 # Modern network generations (docs/NETWORK.md): IS/Gauss/SOR/NN across
 # 100 Mbps / 10 GbE / RDMA under LRC_d, VC_sd, and the RDMA-native VC_rdma,
@@ -107,17 +104,6 @@ trace-demo:
 	cargo run -p vopp-bench --release --bin tables -- table1 --quick --trace $(TRACE_DIR)
 	@echo "Perfetto files in $(TRACE_DIR):"
 	@ls $(TRACE_DIR)
-
-# The intra-run parallel kernel (docs/PERFORMANCE.md §7): the byte-identity
-# test suite, then a quick sweep at 4 sim workers vs sequential — metrics
-# must pass the regression gate and be byte-identical (wall-clock excluded
-# by design; its `sim` section reports the window/merge counters).
-parkernel:
-	cargo test --release -p vopp-bench --test parkernel
-	cargo run -p vopp-bench --release --bin tables -- all serve scaling netgen --quick --jobs 4 --sim-workers 4 --metrics target/park-metrics
-	cargo run -p vopp-bench --release --bin tables -- all serve scaling netgen --quick --jobs 4 --metrics target/park-seq
-	cargo run -p vopp-bench --release --bin metrics_diff -- $(BASELINE_DIR) target/park-metrics
-	diff -r --exclude=BENCH_wallclock.json target/park-metrics target/park-seq
 
 # The dynamic-checker suite (docs/CORRECTNESS.md): clean applications
 # across all five protocol×style cells must report zero violations, the

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use vopp_bench::harness::{black_box, Runner};
 use vopp_page::{Diff, DiffRun, PageBuf, PagePool, SharedHeap, VTime, PAGE_WORDS};
-use vopp_sim::{DeliveryClass, NetModel, Payload, RouteRequest, Sim, SimDuration, SimTime};
+use vopp_sim::{NetModel, Payload, RouteRequest, Sim, SimDuration, SimTime};
 use vopp_simnet::{EthernetModel, NetConfig};
 
 /// The pre-chunking `Diff::create`, replicated verbatim from the seed: a
@@ -157,9 +157,8 @@ fn bench_net(r: &mut Runner) {
 /// same-instant `Resume` for the next process — the direct-handoff fast
 /// path's best case (and the shape of every barrier release in the DSM
 /// protocols). Returns the kernel's handoff counters.
-fn lockstep_run(direct: bool) -> (u64, u64) {
-    let mut sim = Sim::new(8, Box::new(EthernetModel::new(8, NetConfig::lossless())));
-    sim.set_direct_handoff(direct);
+fn lockstep_run() -> (u64, u64) {
+    let sim = Sim::new(8, Box::new(EthernetModel::new(8, NetConfig::lossless())));
     let out = sim.run(|ctx| {
         for _ in 0..64 {
             ctx.compute(SimDuration::from_micros(10));
@@ -169,158 +168,12 @@ fn lockstep_run(direct: bool) -> (u64, u64) {
     (out.handoff.direct, out.handoff.via_controller)
 }
 
-/// Kernel wake-up path: the same 8-process lockstep workload with the
-/// direct-handoff fast path on vs off (every wake-up through the
-/// controller thread). The measured delta is pure scheduling overhead —
-/// virtual-time results are identical by construction.
+/// Kernel wake-up path: the 8-process lockstep workload, pure scheduling
+/// overhead.
 fn bench_kernel(r: &mut Runner) {
-    let (direct, via_ctl) = lockstep_run(true);
+    let (direct, via_ctl) = lockstep_run();
     println!("    -> lockstep handoff counters: {direct} direct, {via_ctl} via controller");
-    let on = r.bench("kernel_lockstep_handoff_on", || {
-        black_box(lockstep_run(true))
-    });
-    let off = r.bench("kernel_lockstep_handoff_off", || {
-        black_box(lockstep_run(false))
-    });
-    if let (Some(on), Some(off)) = (on, off) {
-        println!(
-            "    -> direct handoff runs the lockstep cluster in {:.2}x the time of the controller path",
-            on.as_nanos() as f64 / off.as_nanos().max(1) as f64
-        );
-    }
-}
-
-/// One neighbor-exchange cluster run: every process alternates a compute
-/// slice with a ring send/recv — the communication shape of the SOR/Gauss
-/// boundary exchanges, and dense enough in events that the parallel kernel's
-/// windows carry real work. Returns the (worker-invariant) virtual end time
-/// as a self-check token.
-fn exchange_run(nodes: usize, workers: usize) -> u64 {
-    let mut sim = Sim::new(
-        nodes,
-        Box::new(EthernetModel::new(nodes, NetConfig::lossless())),
-    );
-    sim.set_workers(workers);
-    let out = sim.run(|ctx| {
-        let n = ctx.nprocs();
-        let me = ctx.me();
-        for _ in 0..24 {
-            ctx.compute(SimDuration::from_micros(30));
-            ctx.send((me + 1) % n, 512, DeliveryClass::App, 0, Arc::new(0u8));
-            let _ = ctx.recv();
-        }
-        0u8
-    });
-    out.end_time.nanos()
-}
-
-/// Intra-run parallel kernel: the neighbor-exchange workload across
-/// 1/2/4/8 sim workers at 8–64 nodes. Virtual time is identical at every
-/// width (asserted); only wall-clock moves. The printed speedups are the
-/// coordination-overhead picture `docs/PERFORMANCE.md` §7 discusses.
-fn bench_parkernel(r: &mut Runner) {
-    for nodes in [8usize, 16, 32, 64] {
-        let vt = exchange_run(nodes, 1);
-        let mut base = None;
-        for workers in [1usize, 2, 4, 8] {
-            let d = r.bench(&format!("parkernel_exchange_{nodes}n_{workers}w"), || {
-                let end = black_box(exchange_run(nodes, workers));
-                assert_eq!(end, vt, "virtual time must not depend on width");
-                end
-            });
-            match (workers, d, base) {
-                (1, Some(d), _) => base = Some(d),
-                (_, Some(d), Some(b)) => println!(
-                    "    -> {workers} workers run the {nodes}-node exchange in {:.2}x sequential time",
-                    d.as_nanos() as f64 / b.as_nanos().max(1) as f64
-                ),
-                _ => {}
-            }
-        }
-    }
-}
-
-/// One density-controlled exchange run: 8 processes each alternate a fixed
-/// compute slice with a `burst`-deep neighbor exchange, so events per
-/// lookahead window scale with `burst` while the communication shape stays
-/// fixed. Returns the virtual end time plus the kernel's window counters
-/// (for the measured events-per-window figure).
-fn density_run(burst: usize, workers: usize) -> (u64, vopp_sim::WindowStats) {
-    let nodes = 8;
-    let mut sim = Sim::new(
-        nodes,
-        Box::new(EthernetModel::new(nodes, NetConfig::lossless())),
-    );
-    sim.set_workers(workers);
-    let out = sim.run(move |ctx| {
-        let n = ctx.nprocs();
-        let me = ctx.me();
-        for _ in 0..16 {
-            ctx.compute(SimDuration::from_micros(60));
-            for k in 0..burst {
-                ctx.send(
-                    (me + 1) % n,
-                    256,
-                    DeliveryClass::App,
-                    k as u64,
-                    Arc::new(0u8),
-                );
-            }
-            for _ in 0..burst {
-                let _ = ctx.recv();
-            }
-        }
-        0u8
-    });
-    (out.end_time.nanos(), out.windows)
-}
-
-/// Event-density sweep for the adaptive kernel: the exchange workload at
-/// growing burst depths, sequential vs 4 sim workers. The printed crossover
-/// (the lowest measured events-per-window where 4 workers beat sequential)
-/// is what seeds `vopp_sim::AUTO_ENGAGE_DEFAULT` — `--sim-workers auto`
-/// dispatches to the pool only above that density.
-fn bench_parkernel_density(r: &mut Runner) {
-    let mut crossover = None;
-    for burst in [1usize, 2, 4, 8, 16, 32] {
-        let (vt, _) = density_run(burst, 1);
-        let (_, win) = density_run(burst, 4);
-        let density = win.window_events.checked_div(win.windows).unwrap_or(0);
-        let seq = r.bench(&format!("parkernel_density_b{burst}_1w"), || {
-            let (end, _) = density_run(black_box(burst), 1);
-            assert_eq!(end, vt, "virtual time must not depend on width");
-            end
-        });
-        let par = r.bench(&format!("parkernel_density_b{burst}_4w"), || {
-            let (end, _) = density_run(black_box(burst), 4);
-            assert_eq!(end, vt, "virtual time must not depend on width");
-            end
-        });
-        if let (Some(s), Some(p)) = (seq, par) {
-            let ratio = p.as_nanos() as f64 / s.as_nanos().max(1) as f64;
-            println!(
-                "    -> ~{density} events/window: 4 workers run the exchange in \
-                 {ratio:.2}x sequential time"
-            );
-            if ratio < 1.0 && crossover.is_none() {
-                crossover = Some(density);
-            }
-        }
-    }
-    match crossover {
-        Some(d) => println!(
-            "    -> measured crossover: 4 workers win above ~{d} events/window \
-             (auto engages at {}, AUTO_ENGAGE_DEFAULT)",
-            vopp_sim::AUTO_ENGAGE_DEFAULT
-        ),
-        None => println!(
-            "    -> no crossover on this host (available parallelism {}): 4 workers never \
-             beat sequential, so `--sim-workers auto` stays sequential here \
-             (engage threshold {} events/window)",
-            std::thread::available_parallelism().map_or(1, usize::from),
-            vopp_sim::AUTO_ENGAGE_DEFAULT
-        ),
-    }
+    r.bench("kernel_lockstep_handoff", || black_box(lockstep_run()));
 }
 
 /// Payload fan-out: sharing one `Arc` allocation across 32 destinations
@@ -359,7 +212,5 @@ fn main() {
     bench_heap(&mut r);
     bench_net(&mut r);
     bench_kernel(&mut r);
-    bench_parkernel(&mut r);
-    bench_parkernel_density(&mut r);
     bench_payload(&mut r);
 }

@@ -47,14 +47,10 @@ use crate::tables::{self, Scale};
 
 /// Schema tag of the `BENCH_wallclock.json` artifact. `/2` adds the
 /// `host` section (peak RSS, allocation counters) and the per-stage
-/// (`enumerate`/`simulate`/`render`) timing array. `/3` adds the `sim`
-/// section: the intra-run parallel kernel's worker width, window counters,
-/// and execute/merge stage timers. `/4` extends `sim` with the adaptive
-/// kernel's dispatch economics: the events-per-window density histogram,
-/// the inline/parallel/serial window split (and inline share), spin-hit vs
-/// park-wake doorbell counts, and the commit's routing vs record-append
-/// nanosecond split.
-pub const WALLCLOCK_SCHEMA: &str = "vopp-bench-wallclock/4";
+/// (`enumerate`/`simulate`/`render`) timing array. `/3` and `/4` carried a
+/// `sim` section of intra-run parallel-kernel counters; `/5` drops it with
+/// that kernel (every run is sequential).
+pub const WALLCLOCK_SCHEMA: &str = "vopp-bench-wallclock/5";
 
 /// Application of a sweep cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -770,7 +766,6 @@ pub fn wallclock_document(cache: &RunCache, stages: &[crate::hostprof::StageStat
         Value::Null
     };
     let handoff = handoff_totals();
-    let win = vopp_sim::window_totals();
     obj(vec![
         ("schema", str(WALLCLOCK_SCHEMA)),
         ("jobs", num(cache.jobs as u64)),
@@ -826,58 +821,6 @@ pub fn wallclock_document(cache: &RunCache, stages: &[crate::hostprof::StageStat
                         Value::Null
                     },
                 ),
-            ]),
-        ),
-        // Intra-run parallel kernel counters (process-wide totals): the
-        // configured worker width, how many conservative-lookahead windows
-        // ran (inline = single-group on the coordinator, parallel =
-        // multi-group on the worker pool, serial = multi-group executed
-        // serially by the adaptive mode below its density threshold), the
-        // events they drained, wall time spent executing windows vs.
-        // committing their logs (split into order-sensitive routing and
-        // bulk record appends), the doorbell dispatch economics (spin-hit
-        // vs park-wake), the events-per-window density histogram
-        // (bucket i counts windows with 2^i..2^(i+1) events; the last is
-        // open-ended), and runs that requested workers but fell back to
-        // the sequential kernel. Virtual-time artifacts are byte-identical
-        // at any width; only these wall-clock numbers move.
-        (
-            "sim",
-            obj(vec![
-                (
-                    "sim_workers",
-                    // The adaptive sentinel is not a meaningful number;
-                    // report it as the string the CLI accepts.
-                    if vopp_sim::sim_workers_default() == vopp_sim::SIM_WORKERS_AUTO {
-                        str("auto")
-                    } else {
-                        num(vopp_sim::sim_workers_default() as u64)
-                    },
-                ),
-                ("windows", num(win.windows)),
-                ("inline_windows", num(win.inline_windows)),
-                ("parallel_windows", num(win.parallel_windows)),
-                ("serial_windows", num(win.serial_windows)),
-                (
-                    "inline_share",
-                    if win.windows > 0 {
-                        Value::Num(win.inline_windows as f64 / win.windows as f64)
-                    } else {
-                        Value::Null
-                    },
-                ),
-                ("window_events", num(win.window_events)),
-                (
-                    "density_histogram",
-                    Value::Arr(win.density.iter().map(|&c| num(c)).collect()),
-                ),
-                ("exec_ns", num(win.exec_ns)),
-                ("merge_ns", num(win.merge_ns)),
-                ("commit_route_ns", num(win.commit_route_ns)),
-                ("commit_append_ns", num(win.commit_append_ns)),
-                ("spin_hits", num(win.spin_hits)),
-                ("park_wakes", num(win.park_wakes)),
-                ("fallback_runs", num(win.fallback_runs)),
             ]),
         ),
         // Persistent-cache effect on this sweep: cells replayed from disk
@@ -1089,33 +1032,8 @@ mod tests {
             Some(3)
         );
         assert!(doc.get("handoff").is_some());
-        // `/4`: the parallel-kernel section is always present, with the
-        // configured width, all window/stage counters, the dispatch
-        // economics, and the density histogram.
-        let sim = doc.get("sim").expect("sim section");
-        assert!(sim.get("sim_workers").and_then(Value::as_u64).is_some());
-        for key in [
-            "windows",
-            "inline_windows",
-            "parallel_windows",
-            "serial_windows",
-            "window_events",
-            "exec_ns",
-            "merge_ns",
-            "commit_route_ns",
-            "commit_append_ns",
-            "spin_hits",
-            "park_wakes",
-            "fallback_runs",
-        ] {
-            assert!(sim.get(key).and_then(Value::as_u64).is_some(), "sim.{key}");
-        }
-        assert!(sim.get("inline_share").is_some());
-        let density = sim
-            .get("density_histogram")
-            .and_then(Value::as_arr)
-            .expect("density histogram");
-        assert_eq!(density.len(), vopp_sim::DENSITY_BUCKETS);
+        // `/5`: the parallel-kernel section is gone with the kernel.
+        assert!(doc.get("sim").is_none());
     }
 
     /// Fresh scratch directory under the target-adjacent temp dir; unique

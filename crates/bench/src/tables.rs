@@ -1347,9 +1347,8 @@ fn scaling_run(
 
 /// Scale-out table (not in the paper): IS, Gauss and SOR at 64 and 128
 /// nodes on the paper's baseline (LRC_d), home-based LRC and the headline
-/// VOPP protocol (VC_sd). This is the regime ROADMAP item 2 targets —
-/// and the one where conservative-lookahead windows are dense enough for
-/// `--sim-workers` to pay off (docs/PERFORMANCE.md §7).
+/// VOPP protocol (VC_sd): the event-dense regime where host-side
+/// scheduling cost dominates the wall clock (docs/PERFORMANCE.md §4).
 pub fn table_scaling(scale: &Scale) -> Table {
     scale.begin_table("scaling");
     let procs = scale.scaling_procs();

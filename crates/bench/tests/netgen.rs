@@ -1,30 +1,18 @@
 //! The `netgen` table (modern network generations × protocol, see
 //! docs/NETWORK.md) must obey the same artifact invariants as the paper
-//! tables: the sweep-pool worker count, the persistent disk cache, and the
-//! intra-run parallel kernel are all invisible in the rendered table, in
-//! `BENCH_netgen.json`, and in the trace files. The RDMA generation is the
-//! interesting one for the parallel kernel — its ~1 us one-way latency sits
-//! near the conservative-lookahead floor, so the test also proves that an
-//! RDMA cell still opens parallel windows instead of degenerating to a
-//! serial sweep.
+//! tables: the sweep-pool worker count and the persistent disk cache are
+//! both invisible in the rendered table, in `BENCH_netgen.json`, and in the
+//! trace files.
 
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use vopp_bench::metrics::NETGEN_SCHEMA;
 use vopp_bench::sweep::{
     cells_for, context_hash, dedup_cells, run_sweep, run_sweep_cached, DiskCache,
 };
 use vopp_bench::{tables, MetricsSink, Scale};
-
-/// Every test in this binary that mutates the process-wide sim-worker
-/// default serializes on this lock (surviving another test's panic).
-static WIDTH: Mutex<()> = Mutex::new(());
-
-fn lock_width() -> MutexGuard<'static, ()> {
-    WIDTH.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Render the quick netgen sweep with `jobs` pool workers, mirroring
 /// `tables netgen --quick --trace ... --metrics ...`. Returns the table
@@ -64,7 +52,6 @@ fn netgen_artifacts(jobs: usize, base: &Path) -> (String, BTreeMap<String, Strin
 
 #[test]
 fn netgen_four_jobs_match_one_job_byte_for_byte() {
-    let _w = lock_width();
     let base = std::env::temp_dir().join(format!("vopp-netgen-jobs-{}", std::process::id()));
     std::fs::remove_dir_all(&base).ok();
 
@@ -99,7 +86,6 @@ fn netgen_four_jobs_match_one_job_byte_for_byte() {
 
 #[test]
 fn netgen_warm_disk_cache_replays_byte_identical_artifacts() {
-    let _w = lock_width();
     let base = std::env::temp_dir().join(format!("vopp-netgen-cache-{}", std::process::id()));
     std::fs::remove_dir_all(&base).ok();
     let cache_dir = base.join("cache");
@@ -138,50 +124,5 @@ fn netgen_warm_disk_cache_replays_byte_identical_artifacts() {
     assert_eq!(sim_warm, 0, "warm run simulated cells despite a hot cache");
     assert_eq!(t_cold, t_warm, "table text differs between cold and warm");
     assert_eq!(j_cold, j_warm, "BENCH_netgen.json differs cold vs warm");
-    std::fs::remove_dir_all(&base).ok();
-}
-
-#[test]
-fn rdma_cell_is_byte_identical_at_4_sim_workers_and_opens_windows() {
-    let _w = lock_width();
-    let base = std::env::temp_dir().join(format!("vopp-netgen-simw-{}", std::process::id()));
-    std::fs::remove_dir_all(&base).ok();
-
-    // One RDMA-generation VC_rdma cell — the tightest lookahead in the
-    // netgen family, so if any cell degenerates to a serial sweep it is
-    // this one.
-    let run = |width: usize, dir: &Path| {
-        vopp_sim::set_sim_workers_default(width);
-        let traces = dir.join("traces");
-        let sink = Arc::new(MetricsSink::new());
-        let mut scale = Scale {
-            quick: true,
-            trace_dir: Some(traces.clone()),
-            metrics: Some(sink.clone()),
-            ..Scale::default()
-        };
-        let spec = cells_for("netgen", &scale)
-            .into_iter()
-            .find(|s| s.key() == "is_vopp_rdma_vc_rdma_4p")
-            .expect("rdma cell present in the netgen sweep");
-        scale.cache = Some(Arc::new(run_sweep(&scale, &[spec], 1)));
-        std::fs::read_to_string(traces.join("is_vopp_rdma_vc_rdma_4p.events.json"))
-            .expect("read rdma trace")
-    };
-
-    let seq = run(1, &base.join("w1"));
-    let before = vopp_sim::window_totals();
-    let par = run(4, &base.join("w4"));
-    let after = vopp_sim::window_totals();
-    vopp_sim::set_sim_workers_default(1);
-
-    // The conservative-lookahead floor must leave the RDMA generation room
-    // to carve windows — a 4-worker run that windows nothing would mean the
-    // ~1 us link latency collapsed the lookahead below the floor.
-    assert!(
-        after.windows > before.windows,
-        "4-worker rdma cell carved no parallel windows"
-    );
-    assert_eq!(seq, par, "rdma trace differs between sim-workers 1 and 4");
     std::fs::remove_dir_all(&base).ok();
 }

@@ -57,17 +57,10 @@ pub struct ClusterConfig {
     ///
     /// [`RunStats::crit`]: crate::RunStats::crit
     pub profiler: Option<Arc<vopp_trace::CausalProfiler>>,
-    /// Intra-run parallel kernel width: how many event-loop workers the
-    /// simulation kernel may use for this run (`0`, the default, inherits
-    /// the process-wide setting, see [`vopp_sim::set_sim_workers_default`];
-    /// [`vopp_sim::SIM_WORKERS_AUTO`] sizes the pool from the host and
-    /// engages it adaptively by event density).
-    /// Any value produces byte-identical results, statistics, traces, and
-    /// critical paths — the kernel only parallelizes causally independent
-    /// windows and merges them in virtual-time order. Ignored (forced to 1)
-    /// when a race checker is attached: the checker observes accesses in
-    /// wall-clock callback order, which only the sequential kernel keeps
-    /// deterministic.
+    /// Compatibility shim for callers written against the removed
+    /// intra-run parallel kernel: every run is sequential, so only `0` (the
+    /// default) and `1` are accepted; [`run_cluster`] panics on any other
+    /// value.
     pub sim_workers: usize,
 }
 
@@ -148,14 +141,11 @@ where
     }
     let net_stats = model.stats_handle();
     let mut sim = Sim::new(n, Box::new(model));
-    if cfg.sim_workers > 0 {
-        sim.set_workers(cfg.sim_workers);
-    }
-    if cfg.racecheck.is_some() {
-        // The checker sees accesses in callback (wall-clock) order; only the
-        // sequential kernel makes that order a pure function of the seed.
-        sim.set_workers(1);
-    }
+    assert!(
+        cfg.sim_workers <= 1,
+        "sim_workers = {}: the parallel kernel was removed; every run is sequential",
+        cfg.sim_workers
+    );
     if let Some(tr) = &cfg.tracer {
         sim.set_tracer(tr.clone());
     }

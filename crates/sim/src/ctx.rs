@@ -49,7 +49,7 @@ impl<'a> AppCtx<'a> {
 
     /// Current virtual time on this process's clock.
     pub fn now(&self) -> SimTime {
-        self.shared.lock_proc(self.me).pi(self.me).clock
+        self.shared.lock().pi(self.me).clock
     }
 
     /// Spend `d` of virtual CPU time. Service packets arriving during the
@@ -58,7 +58,7 @@ impl<'a> AppCtx<'a> {
         if d == SimDuration::ZERO {
             return;
         }
-        let mut s = self.shared.lock_proc(self.me);
+        let mut s = self.shared.lock();
         let at = s.pi(self.me).clock + d;
         s.push_event(at, Event::Resume(self.me));
         s.pi_mut(self.me).phase = Phase::BlockedResume;
@@ -82,7 +82,7 @@ impl<'a> AppCtx<'a> {
         tag: u64,
         payload: Payload,
     ) {
-        let mut s = self.shared.lock_proc(self.me);
+        let mut s = self.shared.lock();
         let now = s.pi(self.me).clock;
         let mut pkt = Packet::new(self.me, wire_bytes, class, tag, payload);
         if let Some(p) = &s.profiler {
@@ -102,7 +102,7 @@ impl<'a> AppCtx<'a> {
     /// without CPU involvement and are only observed by an explicit
     /// [`AppCtx::poll_one_sided`].
     pub fn recv_filter(&self, want: impl Fn(&Packet) -> bool) -> Packet {
-        let mut s = self.shared.lock_proc(self.me);
+        let mut s = self.shared.lock();
         loop {
             if let Some(pos) = s
                 .pi(self.me)
@@ -126,7 +126,7 @@ impl<'a> AppCtx<'a> {
         d: SimDuration,
         want: impl Fn(&Packet) -> bool,
     ) -> Option<Packet> {
-        let mut s = self.shared.lock_proc(self.me);
+        let mut s = self.shared.lock();
         let deadline = s.pi(self.me).clock + d;
         let token = s.pi(self.me).next_token;
         s.pi_mut(self.me).next_token += 1;
@@ -170,7 +170,7 @@ impl<'a> AppCtx<'a> {
 
     /// Number of packets currently queued in this process's mailbox.
     pub fn mailbox_len(&self) -> usize {
-        self.shared.lock_proc(self.me).pi(self.me).mailbox.len()
+        self.shared.lock().pi(self.me).mailbox.len()
     }
 
     /// Take the earliest one-sided write from `src` with tag `tag` out of
@@ -179,7 +179,7 @@ impl<'a> AppCtx<'a> {
     /// for — callers know data is present from protocol ordering (a
     /// same-link control message sent after the write arrives after it).
     pub fn poll_one_sided(&self, src: ProcId, tag: u64) -> Option<Packet> {
-        let mut s = self.shared.lock_proc(self.me);
+        let mut s = self.shared.lock();
         let pos = s
             .pi(self.me)
             .mailbox
@@ -194,7 +194,7 @@ impl<'a> AppCtx<'a> {
     /// were discarded. Used to drop stale duplicate replies after a
     /// retransmitted request was answered twice.
     pub fn purge_filter(&self, unwanted: impl Fn(&Packet) -> bool) -> usize {
-        let mut s = self.shared.lock_proc(self.me);
+        let mut s = self.shared.lock();
         let mb = &mut s.pi_mut(self.me).mailbox;
         let before = mb.len();
         mb.retain(|p| !unwanted(p));
@@ -207,7 +207,7 @@ impl<'a> AppCtx<'a> {
     /// (the DSM runtime) use it to annotate the timeline with protocol
     /// operations; `None` means critical-path recording is off.
     pub fn causal_profiler(&self) -> Option<std::sync::Arc<vopp_trace::CausalProfiler>> {
-        self.shared.lock_proc(self.me).profiler.clone()
+        self.shared.lock().profiler.clone()
     }
 
     /// Whether an enabled tracer is installed. Layers that need to compute
@@ -222,7 +222,7 @@ impl<'a> AppCtx<'a> {
     pub fn trace(&self, kind: vopp_trace::EventKind) {
         if let Some(tr) = &self.shared.tracer {
             if tr.is_enabled() {
-                let now = self.shared.lock_proc(self.me).pi(self.me).clock;
+                let now = self.shared.lock().pi(self.me).clock;
                 tr.record(now.0, self.me, kind);
             }
         }
@@ -272,7 +272,7 @@ impl<'a> SvcCtx<'a> {
         tag: u64,
         payload: Payload,
     ) {
-        let mut s = self.shared.lock_proc(self.me);
+        let mut s = self.shared.lock();
         let mut pkt = Packet::new(self.me, wire_bytes, class, tag, payload);
         if let Some(p) = &s.profiler {
             pkt.cause = p.cur_ctx();
@@ -286,7 +286,7 @@ impl<'a> SvcCtx<'a> {
     /// message sent *after* a same-link one-sided write finds the write
     /// already present (FIFO link ordering).
     pub fn take_one_sided(&mut self, src: ProcId, tag: u64) -> Option<Packet> {
-        let mut s = self.shared.lock_proc(self.me);
+        let mut s = self.shared.lock();
         let pos = s
             .pi(self.me)
             .mailbox

@@ -21,17 +21,14 @@ mod net;
 mod packet;
 pub mod sync;
 mod time;
-mod window;
 
 /// Identifier of a simulated process (0-based, dense).
 pub type ProcId = usize;
 
 pub use ctx::{AppCtx, SvcCtx};
 pub use kernel::{
-    auto_engage_threshold, auto_workers_override, direct_handoff_default, handoff_totals,
-    run_simple, set_auto_engage_threshold, set_auto_workers_override, set_direct_handoff_default,
-    set_sim_workers_default, sim_workers_default, window_totals, Handler, HandoffStats, ProcTimes,
-    RunOutcome, Sim, WindowStats, AUTO_ENGAGE_DEFAULT, DENSITY_BUCKETS, SIM_WORKERS_AUTO,
+    handoff_totals, run_simple, set_sim_workers_default, Handler, HandoffStats, ProcTimes,
+    RunOutcome, Sim,
 };
 pub use net::{NetModel, PerfectNet, RouteRequest};
 pub use packet::{DeliveryClass, Packet, Payload};
@@ -39,4 +36,3 @@ pub use time::{SimDuration, SimTime};
 pub use vopp_trace::{
     CausalLog, CausalProfiler, CtxKind, CtxRecord, EventKind, OpKind, OpSpan, Tracer, NO_CTX,
 };
-pub use window::{HARD_MIN_PARALLEL_LOOKAHEAD, MIN_PARALLEL_LOOKAHEAD};

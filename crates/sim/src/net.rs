@@ -38,29 +38,6 @@ pub trait NetModel: Send {
     /// Return the arrival time of the packet, or `None` if it is dropped.
     fn route(&mut self, req: RouteRequest) -> Option<SimTime>;
 
-    /// Conservative lookahead: a lower bound `L` such that every
-    /// *cross-node* (`src != dst`) datagram sent at time `t` is delivered
-    /// no earlier than `t + L`, regardless of congestion state. The
-    /// parallel kernel uses it as the Chandy–Misra–Bryant window length:
-    /// within a window of length `L`, no node group can receive a packet
-    /// another group sends inside the same window.
-    ///
-    /// Return `None` (the default) when no such bound exists; the kernel
-    /// then falls back to sequential execution.
-    fn lookahead(&self) -> Option<SimDuration> {
-        None
-    }
-
-    /// Exact self-delivery latency: a loopback (`src == dst`) send at `t`
-    /// is delivered at exactly `t + loopback_latency()`, is never dropped,
-    /// and routing it reads or mutates no state shared with cross-node
-    /// routing (no RNG draw, no link occupancy). Models that cannot
-    /// guarantee this return `None` (the default), which also forces the
-    /// kernel back to sequential execution.
-    fn loopback_latency(&self) -> Option<SimDuration> {
-        None
-    }
-
     /// Total number of datagrams accepted onto the wire so far.
     fn sent_count(&self) -> u64 {
         0
@@ -81,40 +58,18 @@ pub trait NetModel: Send {
 #[derive(Debug, Clone)]
 pub struct PerfectNet {
     latency: SimDuration,
-    lookahead: SimDuration,
     sent: u64,
     bytes: u64,
 }
 
 impl PerfectNet {
-    /// A perfect network with the given one-way latency. The advertised
-    /// lookahead defaults to the latency — the tightest valid bound.
+    /// A perfect network with the given one-way latency.
     pub fn new(latency: SimDuration) -> PerfectNet {
         PerfectNet {
             latency,
-            lookahead: latency,
             sent: 0,
             bytes: 0,
         }
-    }
-
-    /// Advertise a smaller conservative lookahead than the latency. Any
-    /// bound at or below the latency is still correct (every delivery is
-    /// exactly `latency` away); a shorter one shrinks the parallel kernel's
-    /// windows, which is useful for exercising window-boundary behavior.
-    ///
-    /// # Panics
-    ///
-    /// If `lookahead` exceeds the latency — that would *not* be a valid
-    /// bound.
-    pub fn with_lookahead(mut self, lookahead: SimDuration) -> PerfectNet {
-        assert!(
-            lookahead <= self.latency,
-            "lookahead {lookahead} exceeds the delivery latency {latency}: not a conservative bound",
-            latency = self.latency
-        );
-        self.lookahead = lookahead;
-        self
     }
 }
 
@@ -129,16 +84,6 @@ impl NetModel for PerfectNet {
         self.sent += 1;
         self.bytes += req.wire_bytes as u64;
         Some(req.now + self.latency)
-    }
-
-    fn lookahead(&self) -> Option<SimDuration> {
-        // Every delivery (loopback included) is exactly `latency` away, so
-        // any configured bound at or below it is conservative.
-        Some(self.lookahead)
-    }
-
-    fn loopback_latency(&self) -> Option<SimDuration> {
-        Some(self.latency)
     }
 
     fn sent_count(&self) -> u64 {
@@ -171,42 +116,5 @@ mod tests {
         assert_eq!(n.sent_count(), 1);
         assert_eq!(n.sent_bytes(), 123);
         assert_eq!(n.dropped_count(), 0);
-    }
-
-    #[test]
-    fn perfect_net_lookahead_is_its_latency() {
-        let n = PerfectNet::new(SimDuration::from_micros(50));
-        assert_eq!(n.lookahead(), Some(SimDuration::from_micros(50)));
-        assert_eq!(n.loopback_latency(), Some(SimDuration::from_micros(50)));
-    }
-
-    #[test]
-    fn lookahead_is_configurable_below_the_latency() {
-        let n = PerfectNet::new(SimDuration::from_micros(50))
-            .with_lookahead(SimDuration::from_micros(5));
-        assert_eq!(n.lookahead(), Some(SimDuration::from_micros(5)));
-        // Delivery timing is unchanged — only the advertised bound shrinks.
-        assert_eq!(n.loopback_latency(), Some(SimDuration::from_micros(50)));
-    }
-
-    #[test]
-    #[should_panic(expected = "not a conservative bound")]
-    fn lookahead_above_the_latency_is_rejected() {
-        let _ = PerfectNet::new(SimDuration::from_micros(50))
-            .with_lookahead(SimDuration::from_micros(51));
-    }
-
-    #[test]
-    fn lookahead_defaults_to_none() {
-        // A model that does not opt in exposes no bound, which the kernel
-        // treats as "run sequentially".
-        struct Opaque;
-        impl NetModel for Opaque {
-            fn route(&mut self, req: RouteRequest) -> Option<SimTime> {
-                Some(req.now)
-            }
-        }
-        assert_eq!(Opaque.lookahead(), None);
-        assert_eq!(Opaque.loopback_latency(), None);
     }
 }

@@ -27,6 +27,11 @@ impl<T> Mutex<T> {
         MutexGuard(Some(self.0.lock().unwrap_or_else(PoisonError::into_inner)))
     }
 
+    /// Consume the mutex and return its value, recovering from poisoning.
+    pub fn into_inner(self) -> T {
+        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Temporarily release `guard` — which must have been returned by
     /// `self.lock()` — while `f` runs, then re-acquire the lock in place
     /// before returning. Passing a guard that belongs to a different mutex

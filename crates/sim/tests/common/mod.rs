@@ -1,6 +1,5 @@
-//! Failure paths at the end of a long chain of direct handoffs, shared by
-//! the sequential (`kernel.rs`) and parallel (`parallel.rs`) test binaries.
-//! Every process of a token ring blocks in `recv` while one hop after
+//! Failure paths at the end of a long chain of direct handoffs. Every
+//! process of a token ring blocks in `recv` while one hop after
 //! another wakes the next thread; a fault mid-chain (or a deadlock once the
 //! chain ends) must end the run in its diagnosed panic. A watchdog turns a
 //! hang into a test failure instead of a stuck suite.
@@ -40,33 +39,31 @@ impl Fault {
     }
 }
 
-/// Run an `n`-process token ring on `workers` node groups with `fault`
-/// injected, and assert it ends in the fault's diagnosed panic within the
+/// Run an `n`-process token ring with `fault` injected, and assert it ends in the fault's diagnosed panic within the
 /// watchdog limit.
-pub fn ring_ends_in_diagnosed_panic(n: usize, workers: usize, fault: Fault) {
+pub fn ring_ends_in_diagnosed_panic(n: usize, fault: Fault) {
     let (tx, rx) = mpsc::channel();
     let run = std::thread::spawn(move || {
-        let r = catch_unwind(AssertUnwindSafe(|| ring(n, workers, fault)));
+        let r = catch_unwind(AssertUnwindSafe(|| ring(n, fault)));
         let _ = tx.send(r.err().map(|e| panic_message(&*e)));
     });
     // A hung run cannot be joined; its thread is left behind and the test
     // fails instead.
     let Ok(outcome) = rx.recv_timeout(WATCHDOG) else {
-        panic!("{n} procs, {workers} workers, {fault:?}: run hung for {WATCHDOG:?}");
+        panic!("{n} procs, {fault:?}: run hung for {WATCHDOG:?}");
     };
     run.join().expect("the run's panic was caught");
     match outcome {
         Some(msg) => assert!(
             msg.contains(fault.expected()),
-            "{n} procs, {workers} workers, {fault:?}: wrong panic: {msg}"
+            "{n} procs, {fault:?}: wrong panic: {msg}"
         ),
-        None => panic!("{n} procs, {workers} workers, {fault:?}: run did not panic"),
+        None => panic!("{n} procs, {fault:?}: run did not panic"),
     }
 }
 
-fn ring(n: usize, workers: usize, fault: Fault) {
+fn ring(n: usize, fault: Fault) {
     let mut sim = Sim::new(n, Box::new(PerfectNet::new(SimDuration::from_micros(20))));
-    sim.set_workers(workers);
     for p in 0..n {
         sim.set_handler(p, Box::new(|_, _| panic!("svc handler boom")));
     }

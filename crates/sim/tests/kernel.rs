@@ -4,7 +4,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use vopp_sim::{run_simple, DeliveryClass, PerfectNet, Sim, SimDuration, SimTime};
+use vopp_sim::{
+    run_simple, set_sim_workers_default, DeliveryClass, PerfectNet, Sim, SimDuration, SimTime,
+};
 
 mod common;
 use common::{ring_ends_in_diagnosed_panic, Fault};
@@ -370,20 +372,32 @@ fn proc_times_classify_every_nanosecond() {
 #[test]
 fn long_chain_proc_panic_ends_sequential() {
     for n in [64, 128] {
-        ring_ends_in_diagnosed_panic(n, 1, Fault::ProcPanic);
+        ring_ends_in_diagnosed_panic(n, Fault::ProcPanic);
     }
 }
 
 #[test]
 fn long_chain_svc_panic_ends_sequential() {
     for n in [64, 128] {
-        ring_ends_in_diagnosed_panic(n, 1, Fault::SvcPanic);
+        ring_ends_in_diagnosed_panic(n, Fault::SvcPanic);
     }
 }
 
 #[test]
 fn long_chain_deadlock_ends_sequential() {
     for n in [64, 128] {
-        ring_ends_in_diagnosed_panic(n, 1, Fault::Deadlock);
+        ring_ends_in_diagnosed_panic(n, Fault::Deadlock);
     }
+}
+
+#[test]
+fn sequential_worker_widths_are_accepted() {
+    set_sim_workers_default(0);
+    set_sim_workers_default(1);
+}
+
+#[test]
+#[should_panic(expected = "the parallel kernel was removed")]
+fn parallel_worker_width_is_rejected() {
+    set_sim_workers_default(4);
 }

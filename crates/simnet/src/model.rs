@@ -26,7 +26,7 @@
 use std::sync::Arc;
 
 use vopp_sim::sync::Mutex;
-use vopp_sim::{EventKind, NetModel, RouteRequest, SimDuration, SimTime, Tracer};
+use vopp_sim::{EventKind, NetModel, RouteRequest, SimTime, Tracer};
 
 use crate::config::NetConfig;
 
@@ -163,24 +163,8 @@ impl NetModel for EthernetModel {
         let rx_end = rx_start + tx_ps;
         self.rx_free_ps[req.dst] = rx_end;
         // Round the delivery *up* to the ns event grid: `rx_end >= now_ps +
-        // latency_ps`, so ceiling keeps `delivery >= now + latency` and the
-        // lookahead bound below stays sound.
+        // latency_ps`, so ceiling keeps `delivery >= now + latency`.
         Some(SimTime(rx_end.div_ceil(1000)))
-    }
-
-    fn lookahead(&self) -> Option<SimDuration> {
-        // Every surviving cross-node datagram serializes on the sender
-        // uplink (ending no earlier than `now`), then crosses the switch:
-        // `rx_end >= tx_end + latency >= now + latency`. Congestion only
-        // pushes deliveries later, and the ns rounding is a ceiling, so the
-        // switch latency is a sound conservative bound.
-        Some(self.cfg.latency)
-    }
-
-    fn loopback_latency(&self) -> Option<SimDuration> {
-        // The loopback short-circuit above is exact, lossless, and touches
-        // neither the RNG nor the link-occupancy state.
-        Some(self.cfg.loopback_latency)
     }
 
     fn sent_count(&self) -> u64 {
@@ -307,20 +291,20 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_matches_switch_latency_and_bounds_deliveries() {
+    fn switch_latency_bounds_deliveries_and_loopback_is_exact() {
         let cfg = NetConfig::lossless();
         let mut m = EthernetModel::new(4, cfg.clone());
-        let la = m.lookahead().unwrap();
-        assert_eq!(la, cfg.latency);
-        assert_eq!(m.loopback_latency().unwrap(), cfg.loopback_latency);
         // Hammer one receiver from several senders: every cross-node
-        // delivery must still respect `now + lookahead`, and loopback must
+        // delivery must still respect `now + latency`, and loopback must
         // be exactly `now + loopback_latency`.
         for i in 0..200u64 {
             let now = i * 10_000;
             let src = (i % 3) as usize;
             let at = m.route(req(now, src, 3, 1250, 0)).unwrap();
-            assert!(at >= SimTime(now) + la, "delivery {at} beat lookahead");
+            assert!(
+                at >= SimTime(now) + cfg.latency,
+                "delivery {at} beat the switch latency"
+            );
             let lb = m.route(req(now, src, src, 64, 0)).unwrap();
             assert_eq!(lb, SimTime(now) + cfg.loopback_latency);
         }
@@ -353,10 +337,11 @@ mod tests {
             };
             let tx_ps = cfg.tx_time_ps(1250);
             let want = (2 * tx_ps + cfg.latency.0 * 1000).div_ceil(1000);
+            let latency = cfg.latency;
             let mut m = EthernetModel::new(2, cfg);
             let at = m.route(req(0, 0, 1, 1250, 0)).unwrap();
             assert_eq!(at, SimTime(want), "{gen}");
-            assert!(at >= SimTime(0) + m.lookahead().unwrap(), "{gen}");
+            assert!(at >= SimTime(0) + latency, "{gen}");
         }
     }
 

@@ -30,55 +30,11 @@
 //! pay one `Option` test, and an installed profiler never feeds anything
 //! back into the simulation.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Sentinel record id: "no causal predecessor known".
 pub const NO_CTX: u64 = u64::MAX;
-
-/// A thread-local interceptor for [`CausalProfiler`] recording, the causal
-/// analogue of [`crate::tracer::RecordSink`].
-///
-/// The parallel kernel cannot let concurrently-executing node groups append
-/// to the shared [`CausalLog`]: record ids are execution-order indices and
-/// a deterministic artifact. A worker thread installs a sink; a consuming
-/// sink hands out *provisional* ids (remapped to final ids when the window
-/// is replayed in virtual-time order) and captures records into a
-/// per-group log. Sinks that decline (return `None`/`false`) fall through
-/// to the shared log — the exclusive-window fast path.
-pub trait CausalSink: Send + Sync {
-    /// Offer a wake record; `Some(provisional_id)` consumes it.
-    fn record_wake(
-        &self,
-        node: usize,
-        prev_ns: u64,
-        t_ns: u64,
-        kind: CtxKind,
-        pkt_cause: u64,
-    ) -> Option<u64>;
-    /// Offer a service-dispatch record; `Some(provisional_id)` consumes it.
-    fn record_svc(&self, node: usize, t_ns: u64, pkt_cause: u64) -> Option<u64>;
-    /// Offer an op-span annotation; `true` consumes it.
-    fn record_op(&self, node: usize, span: OpSpan) -> bool;
-    /// The current context id as this sink tracks it, or `None` to read
-    /// the shared profiler's atomic instead.
-    fn cur_ctx(&self) -> Option<u64>;
-}
-
-thread_local! {
-    static CAUSAL_SINK: RefCell<Option<Arc<dyn CausalSink>>> = const { RefCell::new(None) };
-}
-
-/// Install (or clear, with `None`) this thread's [`CausalSink`]. Only the
-/// parallel kernel's worker threads use this.
-pub fn set_thread_causal_sink(sink: Option<Arc<dyn CausalSink>>) {
-    CAUSAL_SINK.with(|s| *s.borrow_mut() = sink);
-}
-
-fn with_sink<T>(f: impl FnOnce(&dyn CausalSink) -> Option<T>) -> Option<T> {
-    CAUSAL_SINK.with(|s| s.borrow().as_deref().and_then(f))
-}
 
 /// What kind of context a record describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,28 +184,14 @@ impl CausalProfiler {
     /// Record id of the context executing right now (stamped onto every
     /// packet sent from it).
     pub fn cur_ctx(&self) -> u64 {
-        if let Some(id) = with_sink(|s| s.cur_ctx()) {
-            return id;
-        }
         self.cur.load(Ordering::Relaxed)
     }
 
     /// Record an app-thread wake on `node`: its clock advanced from
     /// `prev_ns` to `t_ns`. `pkt_cause` is the delivered packet's stamped
     /// sender context for [`CtxKind::Wait`] wakes and ignored otherwise
-    /// (self-caused kinds chain to the node's previous record). Returns the
-    /// record's id (provisional when a [`CausalSink`] captured it).
-    pub fn record_wake(
-        &self,
-        node: usize,
-        prev_ns: u64,
-        t_ns: u64,
-        kind: CtxKind,
-        pkt_cause: u64,
-    ) -> u64 {
-        if let Some(id) = with_sink(|s| s.record_wake(node, prev_ns, t_ns, kind, pkt_cause)) {
-            return id;
-        }
+    /// (self-caused kinds chain to the node's previous record).
+    pub fn record_wake(&self, node: usize, prev_ns: u64, t_ns: u64, kind: CtxKind, pkt_cause: u64) {
         let mut log = self.log.lock().expect("causal log lock");
         let id = log.records.len() as u64;
         let prev = log.last_wake[node];
@@ -267,16 +209,11 @@ impl CausalProfiler {
         });
         log.last_wake[node] = id;
         self.cur.store(id, Ordering::Relaxed);
-        id
     }
 
     /// Record a service-handler dispatch on `node` at `t_ns`, caused by
-    /// the context that sent the request (`pkt_cause`). Returns the
-    /// record's id (provisional when a [`CausalSink`] captured it).
-    pub fn record_svc(&self, node: usize, t_ns: u64, pkt_cause: u64) -> u64 {
-        if let Some(id) = with_sink(|s| s.record_svc(node, t_ns, pkt_cause)) {
-            return id;
-        }
+    /// the context that sent the request (`pkt_cause`).
+    pub fn record_svc(&self, node: usize, t_ns: u64, pkt_cause: u64) {
         let mut log = self.log.lock().expect("causal log lock");
         let id = log.records.len() as u64;
         let prev = log.last_wake[node];
@@ -289,7 +226,6 @@ impl CausalProfiler {
             prev,
         });
         self.cur.store(id, Ordering::Relaxed);
-        id
     }
 
     /// Annotate `[lo_ns, hi_ns]` on `node` with a protocol operation.
@@ -298,23 +234,12 @@ impl CausalProfiler {
         if span.hi_ns <= span.lo_ns {
             return;
         }
-        if with_sink(|s| s.record_op(node, span).then_some(())).is_some() {
-            return;
-        }
         let mut log = self.log.lock().expect("causal log lock");
         debug_assert!(
             log.spans[node].last().map_or(0, |s| s.hi_ns) <= span.lo_ns,
             "op spans on one node must be disjoint and time-ordered"
         );
         log.spans[node].push(span);
-    }
-
-    /// The id the next appended context record will receive (ids are
-    /// execution indices). The parallel kernel's commit uses this to
-    /// pre-assign real ids to a whole window of captured records before
-    /// bulk-appending them.
-    pub fn next_id(&self) -> u64 {
-        self.log.lock().expect("causal log lock").records.len() as u64
     }
 
     /// Consume the recording (the run is over).

@@ -27,12 +27,9 @@ pub mod perfetto;
 pub mod report;
 pub mod tracer;
 
-pub use causal::{
-    set_thread_causal_sink, CausalLog, CausalProfiler, CausalSink, CtxKind, CtxRecord, OpKind,
-    OpSpan, NO_CTX,
-};
+pub use causal::{CausalLog, CausalProfiler, CtxKind, CtxRecord, OpKind, OpSpan, NO_CTX};
 pub use check::{check, CheckConfig, Violation};
 pub use event::{Event, EventKind, NodeId};
 pub use perfetto::to_chrome_json;
 pub use report::report;
-pub use tracer::{set_thread_record_sink, RecordSink, Trace, Tracer, DEFAULT_CAPACITY};
+pub use tracer::{Trace, Tracer, DEFAULT_CAPACITY};
