@@ -5,10 +5,11 @@ METRICS_DIR ?= target/bench-metrics
 BASELINE_DIR ?= crates/bench/baselines
 CRITPATH_DIR ?= target/bench-critpath
 CRITPATH_BASELINE_DIR ?= crates/bench/baselines-critpath
+GOLDEN_DIR ?= crates/bench/golden
 
 .PHONY: all check fmt clippy test tables tables-quick serve scaling netgen \
         bench bench-micro bench-wallclock baseline critpath baseline-critpath \
-        metrics-demo trace-demo racecheck clean
+        golden metrics-demo trace-demo racecheck clean
 
 all: check test
 
@@ -88,6 +89,12 @@ critpath:
 baseline-critpath:
 	cargo run -p vopp-bench --release --bin tables -- all ext serve --quick --critpath --metrics $(CRITPATH_DIR)
 	cp $(CRITPATH_DIR)/BENCH_critpath.json $(CRITPATH_BASELINE_DIR)/BENCH_critpath.json
+
+# Refresh the committed golden table text after an intentional change to
+# a table's rows or values. CI diffs its quick sweeps against these files.
+golden:
+	cargo run -p vopp-bench --release --bin tables -- all ext serve scaling netgen --quick --jobs 1 > $(GOLDEN_DIR)/quick_tables.txt
+	cargo run -p vopp-bench --release --bin tables -- all ext serve --quick --jobs 1 --critpath > $(GOLDEN_DIR)/quick_tables_critpath.txt
 
 # One metered table, artifacts left in target/metrics-demo for inspection.
 metrics-demo:

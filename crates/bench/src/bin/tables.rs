@@ -20,27 +20,29 @@
 //! artifacts consumed by the `metrics_diff` regression gate — plus
 //! `BENCH_wallclock.json` (real time per cell; reported, never gated).
 //!
-//! `--jobs N` (or `VOPP_JOBS=N`; default: available parallelism) sizes the
-//! worker pool that precomputes the sweep's cells. Every artifact is
-//! byte-identical for any worker count — cells are independent
-//! deterministic simulations consumed in sequential order.
+//! `--jobs N` (default: available parallelism) sizes the worker pool that
+//! precomputes the sweep's cells. Every artifact is byte-identical for any
+//! worker count — cells are independent deterministic simulations, and
+//! each table renders and records its cells in its layout's order.
 //!
 //! Every simulation runs on the sequential discrete-event kernel: one
 //! event heap, one running process at a time.
 //!
-//! The `scaling` table (64/128-node scale-out cells) is opt-in like `ext`
-//! and `serve`: request it by name (`tables scaling`).
-//!
-//! The `netgen` table (IS/Gauss/SOR/NN across network generations under
-//! LRC_d, VC_sd and VC_rdma, see `docs/NETWORK.md`) is opt-in the same
-//! way: request it by name (`tables netgen`).
+//! Table names come from the family registry (`vopp_bench::FAMILIES`).
+//! `all` selects the paper's nine tables; `ext`, `serve` (the open-loop
+//! service workload, see `docs/SERVING.md`), `scaling` (64/128-node
+//! scale-out cells) and `netgen` (IS/Gauss/SOR/NN across network
+//! generations under LRC_d, VC_sd and VC_rdma, see `docs/NETWORK.md`) are
+//! opt-in: request them by name.
 //!
 //! `--cache <dir>` keeps a persistent content-addressed store of finished
 //! cells (`sweep-cache.json`) across invocations: a warm rerun simulates
 //! nothing and replays the identical tables/metrics from disk. The cache is
 //! addressed by a build fingerprint plus a scale/cost-model hash, so any
-//! rebuild or configuration change invalidates it wholesale. Ignored when
-//! `--trace` is set (trace artifacts require actually running the cells).
+//! rebuild or configuration change invalidates it wholesale. With
+//! `--trace` or `--critpath` every cell is simulated anyway (a warm replay
+//! writes no trace and carries no causal log to walk), and the results are
+//! still written back to the cache.
 //!
 //! `--faults <plan>` applies a global fault plan to every cell (e.g.
 //! `loss=0.02@7,slow=0x1.5`): message loss and slowdowns reshape the
@@ -48,18 +50,13 @@
 //! `serve` table (batch apps ignore them). The plan is folded into the
 //! sweep-cache context hash, so cached cells never mix fault regimes.
 //!
-//! The `serve` table (open-loop service workload, see `docs/SERVING.md`)
-//! is opt-in like `ext`: request it by name (`tables serve`), it is not
-//! part of `all`.
-//!
 //! `--critpath` attaches the causal profiler to every run: each table
 //! gains `CP ...` rows decomposing the virtual-time critical path (plus
 //! what-if speedup ceilings), `--metrics` additionally writes
 //! `BENCH_critpath.json`, and `--trace` additionally writes a
 //! `<stem>.critpath.perfetto.json` track per run. Profiling is pure
 //! observation: every other table, metric and trace stream stays
-//! byte-identical. Like `--trace`, it disables `--cache` (a warm replay
-//! carries no causal log to walk).
+//! byte-identical.
 //!
 //! `--racecheck` additionally runs the dynamic-checker suite (see
 //! `docs/CORRECTNESS.md`): clean applications across all five
@@ -77,11 +74,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use vopp_bench::hostprof::{peak_rss_bytes, CountingAlloc, StageStats, StageTimer};
-use vopp_bench::sweep::{
-    cells_for, context_hash, dedup_cells, run_sweep_cached, write_wallclock, DiskCache,
-};
-use vopp_bench::tables;
-use vopp_bench::{MetricsSink, Scale, Table};
+use vopp_bench::sweep::{context_hash, dedup_cells, run_sweep_cached, write_wallclock, DiskCache};
+use vopp_bench::{family, Family, MetricsSink, Scale, Table, FAMILIES};
 use vopp_core::FaultPlan;
 use vopp_trace::json::Value;
 
@@ -95,28 +89,6 @@ const USAGE: &str = "usage: tables [--quick] [--json] [--jobs N] [--trace DIR] \
      [--metrics DIR] [--cache DIR] [--faults PLAN] [--critpath] [--racecheck] \
      (all | table1 .. table9 | ext | serve | scaling | netgen)*";
 
-type TableFn = fn(&Scale) -> Table;
-
-/// Every table, in render order. `all` selects all but the opt-in ones.
-const TABLES: [(&str, TableFn); 13] = [
-    ("table1", tables::table1),
-    ("table2", tables::table2),
-    ("table3", tables::table3),
-    ("table4", tables::table4),
-    ("table5", tables::table5),
-    ("table6", tables::table6),
-    ("table7", tables::table7),
-    ("table8", tables::table8),
-    ("table9", tables::table9),
-    ("ext", tables::table_ext),
-    ("serve", tables::table_serve),
-    ("scaling", tables::table_scaling),
-    ("netgen", tables::table_netgen),
-];
-
-/// Tables that `all` leaves out; each must be requested by name.
-const OPT_IN: [&str; 4] = ["ext", "serve", "scaling", "netgen"];
-
 /// The parsed command line.
 #[derive(Debug, Default, PartialEq)]
 struct Args {
@@ -124,7 +96,7 @@ struct Args {
     json: bool,
     racecheck: bool,
     critpath: bool,
-    /// `--jobs N`; `None` defers to `VOPP_JOBS`, then the host.
+    /// `--jobs N`; `None` uses the host's available parallelism.
     jobs: Option<usize>,
     trace_dir: Option<PathBuf>,
     metrics_dir: Option<PathBuf>,
@@ -134,10 +106,10 @@ struct Args {
     wanted: Vec<String>,
 }
 
-fn parse_jobs(s: &str, what: &str) -> Result<usize, String> {
+fn parse_jobs(s: &str) -> Result<usize, String> {
     match s.parse::<usize>() {
         Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!("{what} must be a positive integer, got {s:?}")),
+        _ => Err(format!("--jobs must be a positive integer, got {s:?}")),
     }
 }
 
@@ -156,7 +128,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             "--json" => out.json = true,
             "--racecheck" => out.racecheck = true,
             "--critpath" => out.critpath = true,
-            "--jobs" => out.jobs = Some(parse_jobs(&operand("a positive integer")?, "--jobs")?),
+            "--jobs" => out.jobs = Some(parse_jobs(&operand("a positive integer")?)?),
             "--trace" => out.trace_dir = Some(operand("a directory")?.into()),
             "--metrics" => out.metrics_dir = Some(operand("a directory")?.into()),
             "--cache" => out.cache_dir = Some(operand("a directory")?.into()),
@@ -165,9 +137,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                 out.faults = FaultPlan::parse(&spec).map_err(|e| format!("--faults: {e}"))?;
             }
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag:?}")),
-            name if name == "all" || TABLES.iter().any(|(t, _)| *t == name) => {
-                out.wanted.push(name.to_string())
-            }
+            name if name == "all" || family(name).is_some() => out.wanted.push(name.to_string()),
             name => return Err(format!("unknown table {name:?}")),
         }
     }
@@ -186,14 +156,9 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let jobs = match (args.jobs, std::env::var("VOPP_JOBS")) {
-        (Some(n), _) => n,
-        (None, Ok(n)) => parse_jobs(&n, "VOPP_JOBS").unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }),
-        (None, Err(_)) => std::thread::available_parallelism().map_or(1, usize::from),
-    };
+    let jobs = args
+        .jobs
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from));
     let Args {
         quick,
         json,
@@ -201,43 +166,33 @@ fn main() {
         critpath,
         trace_dir,
         metrics_dir,
-        mut cache_dir,
+        cache_dir,
         faults,
         wanted,
         ..
     } = args;
-    if cache_dir.is_some() && trace_dir.is_some() {
-        eprintln!("[cache: disabled — --trace requires simulating every cell]");
-        cache_dir = None;
-    }
-    if cache_dir.is_some() && critpath {
-        eprintln!("[cache: disabled — --critpath requires simulating every cell]");
-        cache_dir = None;
-    }
     if racecheck && wanted.is_empty() {
         run_racecheck_suite();
         return;
     }
     let sink = metrics_dir.as_ref().map(|_| Arc::new(MetricsSink::new()));
-    let mut scale = Scale {
+    let scale = Scale {
         quick,
         trace_dir,
         metrics: sink.clone(),
         net_override: None,
-        netgen: None,
-        cache: None,
         faults,
         critpath,
     };
     let run_all = wanted.iter().any(|w| w == "all");
-    let selected: Vec<(&str, TableFn)> = TABLES
-        .into_iter()
-        .filter(|(name, _)| (run_all && !OPT_IN.contains(name)) || wanted.iter().any(|w| w == name))
+    let selected: Vec<&Family> = FAMILIES
+        .iter()
+        .filter(|f| (run_all && f.in_all) || wanted.iter().any(|w| w == f.name))
         .collect();
 
-    // Precompute every selected cell on the worker pool; the table
-    // functions below consume the cache in their original sequential
-    // order, so all artifacts stay byte-identical for any --jobs value.
+    // Precompute every selected cell on the worker pool; each table below
+    // renders and records its cells in layout order, so all artifacts stay
+    // byte-identical for any --jobs value.
     // Each stage's wall-clock and allocation delta lands in
     // `BENCH_wallclock.json`.
     let mut stages: Vec<StageStats> = Vec::new();
@@ -245,7 +200,7 @@ fn main() {
     let specs = dedup_cells(
         &selected
             .iter()
-            .flat_map(|(name, _)| cells_for(name, &scale))
+            .flat_map(|f| f.cells(&scale))
             .collect::<Vec<_>>(),
     );
     stages.push(stage.finish());
@@ -253,7 +208,7 @@ fn main() {
     let mut disk = cache_dir
         .as_ref()
         .map(|dir| DiskCache::open(dir, context_hash(&scale)));
-    let cache = Arc::new(run_sweep_cached(&scale, &specs, jobs, disk.as_mut()));
+    let cache = run_sweep_cached(&scale, &specs, jobs, disk.as_mut());
     stages.push(stage.finish());
     eprintln!(
         "[sweep: {} cells on {} worker(s) in {:.1?}]",
@@ -267,14 +222,13 @@ fn main() {
             cache.warm_cells, cache.simulated_cells
         );
     }
-    scale.cache = Some(cache.clone());
 
     let stage = StageTimer::start("render");
     let mut produced = Vec::new();
-    for (name, f) in &selected {
+    for f in &selected {
         let t0 = Instant::now();
-        let table = f(&scale);
-        eprintln!("[{name} generated in {:.1?}]", t0.elapsed());
+        let table = f.render(&scale, &cache);
+        eprintln!("[{} generated in {:.1?}]", f.name, t0.elapsed());
         if json {
             produced.push(table);
         } else {
@@ -370,8 +324,8 @@ mod tests {
                 wanted: vec!["all".to_string(), "serve".to_string()],
             }
         );
-        for (name, _) in TABLES {
-            assert_eq!(parse(&[name]).unwrap().wanted, vec![name.to_string()]);
+        for f in &FAMILIES {
+            assert_eq!(parse(&[f.name]).unwrap().wanted, vec![f.name.to_string()]);
         }
         assert!(parse(&["--racecheck"]).unwrap().wanted.is_empty());
     }

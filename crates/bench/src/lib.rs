@@ -2,7 +2,8 @@
 
 //! # vopp-bench — the evaluation harness
 //!
-//! [`tables`] regenerates every table of the paper's §5 (see the `tables`
+//! [`tables`] describes every table family once — the paper's §5 tables
+//! and the repo's own families — in one registry (see the `tables`
 //! binary: `cargo run -p vopp-bench --release --bin tables -- all`, with
 //! `--trace DIR` for per-run structured traces and conformance checks and
 //! `--metrics DIR` for machine-readable `BENCH_<app>.json` artifacts);
@@ -28,4 +29,4 @@ pub use sweep::{
     RunCache, ServeCell, ServeFault, ServeLoad, ServePayload,
 };
 pub use table::Table;
-pub use tables::{all_tables, Scale};
+pub use tables::{family, sweep_table, Family, Scale, FAMILIES};

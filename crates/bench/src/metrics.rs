@@ -18,8 +18,9 @@ use std::path::Path;
 use std::sync::Mutex;
 
 use vopp_core::RunStats;
-use vopp_metrics::Histogram;
 use vopp_trace::json::{num, obj, str, Value};
+
+use crate::sweep::ServePayload;
 
 /// Schema tag written into every artifact, bumped on breaking changes.
 pub const SCHEMA: &str = "vopp-bench-metrics/1";
@@ -64,20 +65,7 @@ pub struct Cell {
     /// The run's statistics.
     pub stats: RunStats,
     /// Serving-workload extras (`BENCH_serve.json` cells only).
-    pub serve: Option<ServeCellMetrics>,
-}
-
-/// The serving-specific fields of a recorded cell.
-#[derive(Debug, Clone)]
-pub struct ServeCellMetrics {
-    /// Per-request service latency, merged across all serving nodes.
-    pub latency: Histogram,
-    /// Requests served (the whole schedule, exactly once).
-    pub served: u64,
-    /// Final-store checksum, equal to the sequential reference.
-    pub checksum: u64,
-    /// Pages shed by crash windows and rebuilt from the home nodes.
-    pub recovered_pages: u64,
+    pub serve: Option<ServePayload>,
 }
 
 fn cell_key(table: &str, variant: &str, protocol: &str, nprocs: usize) -> String {
@@ -164,17 +152,13 @@ impl MetricsSink {
     /// cell lands in `BENCH_serve.json` (schema [`SERVE_SCHEMA`]) with the
     /// request-latency percentiles and convergence evidence attached; its
     /// exact counters are gated like every other cell's.
-    #[allow(clippy::too_many_arguments)]
     pub fn record_serve(
         &self,
         variant: &str,
         protocol: &str,
         nprocs: usize,
         stats: &RunStats,
-        latency: &Histogram,
-        served: u64,
-        checksum: u64,
-        recovered_pages: u64,
+        serve: &ServePayload,
     ) {
         let table = self.current_table.lock().expect("sink lock").clone();
         self.record_crit(&table, "serve", variant, protocol, nprocs, stats);
@@ -185,12 +169,7 @@ impl MetricsSink {
             protocol: protocol.to_string(),
             nprocs,
             stats: stats.clone(),
-            serve: Some(ServeCellMetrics {
-                latency: latency.clone(),
-                served,
-                checksum,
-                recovered_pages,
-            }),
+            serve: Some(serve.clone()),
         });
     }
 

@@ -2,13 +2,13 @@
 //!
 //! Every (application, variant, protocol, node-count) table cell is an
 //! independent deterministic simulation, so the full sweep parallelizes
-//! trivially: [`cells_for`] enumerates the exact cells a table renders,
-//! [`run_sweep`] executes the de-duplicated cell list on a std-only
-//! scoped-thread worker pool, and the resulting [`RunCache`] is attached to
-//! [`Scale`] so the table functions consume precomputed results *in their
-//! original sequential order*. Tables, `BENCH_<app>.json` metrics and trace
-//! artifacts therefore come out byte-identical for any worker count — only
-//! wall-clock changes.
+//! trivially: [`cells_for`] flattens a family's layout from the registry
+//! ([`crate::tables::FAMILIES`]) into its cells, [`run_sweep`] executes the
+//! de-duplicated cell list on a std-only scoped-thread worker pool, and
+//! each family renders from the resulting [`RunCache`], recording its
+//! metrics in layout order. Tables, `BENCH_<app>.json` metrics and trace
+//! artifacts therefore come out byte-identical for any worker count —
+//! only wall-clock changes.
 //!
 //! Wall-clock itself is reported (never gated): each cell is timed with
 //! [`std::time::Instant`] outside the virtual-time world and
@@ -196,16 +196,29 @@ impl CellSpec {
     /// the generation label after the variant on netgen cells
     /// (`is_vopp_rdma_vc_rdma_16p`).
     pub fn key(&self) -> String {
-        let mut head = format!("{}_{}", self.app.label(), self.variant.label());
+        format!(
+            "{}_{}_{}_{}p",
+            self.app.label(),
+            self.variant_label(),
+            self.proto.label().to_lowercase(),
+            self.np
+        )
+    }
+
+    /// The variant with the cell's other dimensions folded in: the
+    /// load/fault fragment on serve cells (`vopp_base_crash`), the
+    /// generation on netgen cells (`vopp_rdma`).
+    pub fn variant_label(&self) -> String {
+        let mut label = self.variant.label().to_string();
         if let Some(sc) = self.serve {
-            head.push('_');
-            head.push_str(&sc.label());
+            label.push('_');
+            label.push_str(&sc.label());
         }
         if let Some(gen) = self.netgen {
-            head.push('_');
-            head.push_str(gen.label());
+            label.push('_');
+            label.push_str(gen.label());
         }
-        format!("{head}_{}_{}p", self.proto.label().to_lowercase(), self.np)
+        label
     }
 }
 
@@ -269,9 +282,8 @@ pub struct CachedRun {
     pub wall_ns: u64,
 }
 
-/// Precomputed sweep results, keyed by [`CellSpec::key`]. Attached to
-/// [`Scale::cache`]; table functions consume hits in their original
-/// sequential order so every artifact stays byte-identical.
+/// Precomputed sweep results, keyed by [`CellSpec::key`]. Every family
+/// renders from one (see [`crate::tables::Family::render`]).
 #[derive(Debug, Default)]
 pub struct RunCache {
     runs: BTreeMap<String, CachedRun>,
@@ -307,7 +319,8 @@ impl RunCache {
     }
 }
 
-fn cell(app: CellApp, variant: CellVariant, proto: Protocol, np: usize) -> CellSpec {
+/// A cell on the default network, outside the serve family.
+pub(crate) fn cell(app: CellApp, variant: CellVariant, proto: Protocol, np: usize) -> CellSpec {
     CellSpec {
         app,
         variant,
@@ -318,181 +331,12 @@ fn cell(app: CellApp, variant: CellVariant, proto: Protocol, np: usize) -> CellS
     }
 }
 
-fn serve_cell(
-    variant: CellVariant,
-    proto: Protocol,
-    np: usize,
-    load: ServeLoad,
-    fault: ServeFault,
-) -> CellSpec {
-    CellSpec {
-        app: CellApp::Serve,
-        variant,
-        proto,
-        np,
-        serve: Some(ServeCell { load, fault }),
-        netgen: None,
-    }
-}
-
-fn netgen_cell(
-    app: CellApp,
-    variant: CellVariant,
-    gen: NetGen,
-    proto: Protocol,
-    np: usize,
-) -> CellSpec {
-    CellSpec {
-        netgen: Some(gen),
-        ..cell(app, variant, proto, np)
-    }
-}
-
-/// The generations the `netgen` family sweeps: the paper's testbed, a
-/// modern Ethernet, and the RDMA-class interconnect. The in-between
-/// presets exist ([`NetGen::ALL`]) but three points tell the story.
-pub const NETGEN_GENS: [NetGen; 3] = [NetGen::Eth100m, NetGen::Eth10g, NetGen::Rdma];
-
-/// The protocol columns of the `netgen` family: the paper's baseline, its
-/// headline protocol, and the RDMA-native variant.
-pub const NETGEN_PROTOS: [(Protocol, CellVariant); 3] = [
-    (Protocol::LrcD, CellVariant::Traditional),
-    (Protocol::VcSd, CellVariant::Vopp),
-    (Protocol::VcRdma, CellVariant::Vopp),
-];
-
-/// The cells one table renders, in its sequential run order. Mirrors the
-/// table functions in [`crate::tables`] exactly (cell-equivalence is
-/// asserted by `tests/parallel_sweep.rs` byte-comparing artifacts).
+/// The cells of the family called `table`, in sweep order: its layout
+/// in [`crate::tables::FAMILIES`], flattened. Panics on an unknown name.
 pub fn cells_for(table: &str, scale: &Scale) -> Vec<CellSpec> {
-    use CellApp::{Gauss, Is, Nn, Sor};
-    use CellVariant::{Mpi, Traditional, Vopp, VoppLb};
-    use Protocol::{Hlrc, LrcD, ScC, VcD, VcSd};
-    let np = scale.stats_procs();
-    let speedup = scale.speedup_procs();
-    let mut cells = Vec::new();
-    match table {
-        "table1" => {
-            cells.push(cell(Is, Traditional, LrcD, np));
-            cells.push(cell(Is, Vopp, VcD, np));
-            cells.push(cell(Is, Vopp, VcSd, np));
-        }
-        "table2" => {
-            cells.push(cell(Is, VoppLb, VcD, np));
-            cells.push(cell(Is, VoppLb, VcSd, np));
-        }
-        "table3" => {
-            cells.push(cell(Is, Traditional, LrcD, 1));
-            for &n in &speedup {
-                cells.push(cell(Is, Traditional, LrcD, n));
-            }
-            for &n in &speedup {
-                cells.push(cell(Is, Vopp, VcSd, n));
-            }
-            for &n in &speedup {
-                cells.push(cell(Is, VoppLb, VcSd, n));
-            }
-        }
-        "table4" => {
-            cells.push(cell(Gauss, Traditional, LrcD, np));
-            cells.push(cell(Gauss, Vopp, VcD, np));
-            cells.push(cell(Gauss, Vopp, VcSd, np));
-        }
-        "table5" => {
-            cells.push(cell(Gauss, Traditional, LrcD, 1));
-            for &n in &speedup {
-                cells.push(cell(Gauss, Traditional, LrcD, n));
-            }
-            for &n in &speedup {
-                cells.push(cell(Gauss, Vopp, VcSd, n));
-            }
-        }
-        "table6" => {
-            cells.push(cell(Sor, Traditional, LrcD, np));
-            cells.push(cell(Sor, Vopp, VcD, np));
-            cells.push(cell(Sor, Vopp, VcSd, np));
-        }
-        "table7" => {
-            cells.push(cell(Sor, Traditional, LrcD, 1));
-            for &n in &speedup {
-                cells.push(cell(Sor, Traditional, LrcD, n));
-            }
-            for &n in &speedup {
-                cells.push(cell(Sor, Vopp, VcSd, n));
-            }
-        }
-        "table8" => {
-            cells.push(cell(Nn, Traditional, LrcD, np));
-            cells.push(cell(Nn, Vopp, VcD, np));
-            cells.push(cell(Nn, Vopp, VcSd, np));
-        }
-        "table9" => {
-            cells.push(cell(Nn, Traditional, LrcD, 1));
-            for &n in &speedup {
-                cells.push(cell(Nn, Traditional, LrcD, n));
-            }
-            for &n in &speedup {
-                cells.push(cell(Nn, Vopp, VcSd, n));
-            }
-            for &n in &speedup {
-                cells.push(cell(Nn, Mpi, VcSd, n));
-            }
-        }
-        "ext" => {
-            for app in [Is, Gauss, Sor, Nn] {
-                cells.push(cell(app, Traditional, LrcD, np));
-                cells.push(cell(app, Traditional, Hlrc, np));
-            }
-        }
-        "serve" => {
-            use ServeFault::{Clean, Crash, Loss, Slow};
-            use ServeLoad::{Base, High};
-            // Clean serving across the full protocol matrix at base load.
-            cells.push(serve_cell(Traditional, LrcD, np, Base, Clean));
-            cells.push(serve_cell(Traditional, Hlrc, np, Base, Clean));
-            cells.push(serve_cell(Traditional, ScC, np, Base, Clean));
-            cells.push(serve_cell(Vopp, VcD, np, Base, Clean));
-            cells.push(serve_cell(Vopp, VcSd, np, Base, Clean));
-            // Doubled load and the loss/slowdown scenarios: the paper's
-            // baseline protocol vs the headline VOPP one.
-            cells.push(serve_cell(Traditional, LrcD, np, High, Clean));
-            cells.push(serve_cell(Vopp, VcSd, np, High, Clean));
-            for fault in [Loss, Slow] {
-                cells.push(serve_cell(Traditional, LrcD, np, Base, fault));
-                cells.push(serve_cell(Vopp, VcSd, np, Base, fault));
-            }
-            // Crash/recovery is modelled for the view-backed store only.
-            cells.push(serve_cell(Vopp, VcD, np, Base, Crash));
-            cells.push(serve_cell(Vopp, VcSd, np, Base, Crash));
-        }
-        "scaling" => {
-            // Column-major over app x nodes, protocols innermost — the
-            // exact order `table_scaling` consumes them.
-            for app in [Is, Gauss, Sor] {
-                for &n in &scale.scaling_procs() {
-                    cells.push(cell(app, Traditional, LrcD, n));
-                    cells.push(cell(app, Traditional, Hlrc, n));
-                    cells.push(cell(app, Vopp, VcSd, n));
-                }
-            }
-        }
-        "netgen" => {
-            // App-major, generations next, protocols innermost — the exact
-            // order `table_netgen` consumes them. Every cell (including
-            // eth100m, which equals the default config bit-for-bit) carries
-            // its generation in the key, so the family never aliases the
-            // paper tables' cells in the sweep cache.
-            for app in [Is, Gauss, Sor, Nn] {
-                for gen in NETGEN_GENS {
-                    for (proto, variant) in NETGEN_PROTOS {
-                        cells.push(netgen_cell(app, variant, gen, proto, np));
-                    }
-                }
-            }
-        }
-        other => panic!("unknown table {other:?}"),
-    }
-    cells
+    tables::family(table)
+        .unwrap_or_else(|| panic!("unknown table {table:?}"))
+        .cells(scale)
 }
 
 /// De-duplicate a cell list by key, keeping first-occurrence order (the
@@ -660,8 +504,8 @@ impl DiskCache {
 
 /// Run every cell on a scoped-thread worker pool with `jobs` workers and
 /// return the populated [`RunCache`]. Each worker claims the next
-/// unclaimed cell (atomic work index), simulates it through the same
-/// verified path the tables use (including trace artifacts and conformance
+/// unclaimed cell (atomic work index), simulates it through
+/// [`tables::execute_cell`] (including trace artifacts and conformance
 /// checks when `scale.trace_dir` is set), and times it with a real
 /// [`Instant`]. Results land keyed by cell, so worker scheduling cannot
 /// influence any downstream artifact.
@@ -879,6 +723,32 @@ pub fn write_wallclock(
 mod tests {
     use super::*;
 
+    fn serve_cell(
+        variant: CellVariant,
+        proto: Protocol,
+        np: usize,
+        load: ServeLoad,
+        fault: ServeFault,
+    ) -> CellSpec {
+        CellSpec {
+            serve: Some(ServeCell { load, fault }),
+            ..cell(CellApp::Serve, variant, proto, np)
+        }
+    }
+
+    fn netgen_cell(
+        app: CellApp,
+        variant: CellVariant,
+        gen: NetGen,
+        proto: Protocol,
+        np: usize,
+    ) -> CellSpec {
+        CellSpec {
+            netgen: Some(gen),
+            ..cell(app, variant, proto, np)
+        }
+    }
+
     #[test]
     fn keys_match_trace_stems() {
         let spec = cell(CellApp::Nn, CellVariant::Mpi, Protocol::VcSd, 4);
@@ -967,11 +837,11 @@ mod tests {
     fn cache_addressing_covers_the_network_dimension() {
         // Same (app, variant, proto, np) under different generations are
         // different cache keys.
-        let keys: std::collections::BTreeSet<String> = NETGEN_GENS
+        let keys: std::collections::BTreeSet<String> = tables::NETGEN_GENS
             .iter()
             .map(|&g| netgen_cell(CellApp::Is, CellVariant::Vopp, g, Protocol::VcSd, 4).key())
             .collect();
-        assert_eq!(keys.len(), NETGEN_GENS.len());
+        assert_eq!(keys.len(), tables::NETGEN_GENS.len());
         // A scale-wide net override flips the context hash, so a cache
         // populated under one network can never warm another.
         let base = Scale::quick();
@@ -1062,7 +932,7 @@ mod tests {
         }
     }
 
-    fn sample_serve_run(seed: u64) -> CachedRun {
+    fn sample_kv_run(seed: u64) -> CachedRun {
         let mut run = sample_run(seed);
         let mut latency = vopp_metrics::Histogram::default();
         latency.record(1_000 + seed);
@@ -1081,12 +951,12 @@ mod tests {
     fn serve_payload_survives_the_disk_cache() {
         let dir = scratch("serve-payload");
         let mut cache = DiskCache::open_with_fingerprint(&dir, 0xC0, 0xF0);
-        cache.insert("serve_vopp_base_crash_vc_sd_4p".into(), sample_serve_run(3));
+        cache.insert("serve_vopp_base_crash_vc_sd_4p".into(), sample_kv_run(3));
         cache.save().expect("save cache");
 
         let warm = DiskCache::open_with_fingerprint(&dir, 0xC0, 0xF0);
         let run = warm.get("serve_vopp_base_crash_vc_sd_4p").expect("warm");
-        let original = sample_serve_run(3);
+        let original = sample_kv_run(3);
         assert_eq!(run.serve, original.serve);
         let p = run.serve.as_ref().unwrap();
         assert_eq!(p.latency.count(), 2);

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use vopp_bench::metrics::CRITPATH_SCHEMA;
 use vopp_bench::sweep::{cells_for, dedup_cells, run_sweep};
-use vopp_bench::{tables, MetricsSink, Scale};
+use vopp_bench::{family, sweep_table, MetricsSink, Scale};
 use vopp_core::NetConfig;
 use vopp_sim::SimDuration;
 use vopp_trace::json::Value;
@@ -20,7 +20,7 @@ use vopp_trace::json::Value;
 fn critpath_artifacts(jobs: usize, base: &Path) -> BTreeMap<String, String> {
     let traces = base.join("traces");
     let sink = Arc::new(MetricsSink::new());
-    let mut scale = Scale {
+    let scale = Scale {
         quick: true,
         trace_dir: Some(traces.clone()),
         metrics: Some(sink.clone()),
@@ -29,9 +29,9 @@ fn critpath_artifacts(jobs: usize, base: &Path) -> BTreeMap<String, String> {
     };
     let specs = dedup_cells(&cells_for("table1", &scale));
     let cache = run_sweep(&scale, &specs, jobs);
-    scale.cache = Some(Arc::new(cache));
+    let table1 = family("table1").expect("table1").render(&scale, &cache);
     let mut files = BTreeMap::new();
-    files.insert("table1.txt".into(), tables::table1(&scale).to_string());
+    files.insert("table1.txt".into(), table1.to_string());
     let docs = sink.to_documents();
     files.insert(
         "BENCH_critpath.json".into(),
@@ -89,7 +89,7 @@ fn profiler_is_invisible_in_gated_artifacts() {
             critpath,
             ..Scale::default()
         };
-        let text = tables::table1(&scale).to_string();
+        let text = sweep_table("table1", &scale).to_string();
         (text, sink.to_documents())
     };
     let (text_off, off) = run(false);
@@ -170,7 +170,7 @@ fn net_free_ceiling_bounds_an_actual_fast_network_run() {
         critpath: true,
         ..Scale::default()
     };
-    let _ = tables::table1(&scale);
+    let _ = sweep_table("table1", &scale);
     let crit = cell_of(&sink.to_documents()["critpath"]);
     let makespan = crit
         .get("makespan_ns")
@@ -196,7 +196,7 @@ fn net_free_ceiling_bounds_an_actual_fast_network_run() {
         }),
         ..Scale::default()
     };
-    let _ = tables::table1(&fast_scale);
+    let _ = sweep_table("table1", &fast_scale);
     let fast = cell_of(&fast_sink.to_documents()["is"]);
     let fast_ns = fast.get("time_ns").and_then(Value::as_u64).expect("time");
 

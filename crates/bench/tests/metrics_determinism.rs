@@ -7,7 +7,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use vopp_bench::metrics::compare_dirs;
-use vopp_bench::{MetricsSink, Scale};
+use vopp_bench::{sweep_table, MetricsSink, Scale};
 use vopp_core::NetConfig;
 use vopp_sim::SimDuration;
 
@@ -19,7 +19,7 @@ fn run_table1_metered(dir: &Path, net_override: Option<NetConfig>) {
         net_override,
         ..Scale::default()
     };
-    let t = vopp_bench::tables::table1(&scale);
+    let t = sweep_table("table1", &scale);
     assert!(t.title.starts_with("Table 1"));
     assert!(!sink.is_empty(), "metered run recorded no cells");
     sink.write_all(dir).expect("write metrics artifacts");
@@ -80,7 +80,7 @@ fn traced_and_metered_quick_table_smoke() {
         metrics: Some(sink.clone()),
         ..Scale::default()
     };
-    let t = vopp_bench::tables::table1(&scale);
+    let t = sweep_table("table1", &scale);
     assert!(t.title.starts_with("Table 1"));
     sink.write_all(&metrics).expect("write metrics artifacts");
 

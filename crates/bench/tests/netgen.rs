@@ -12,7 +12,7 @@ use vopp_bench::metrics::NETGEN_SCHEMA;
 use vopp_bench::sweep::{
     cells_for, context_hash, dedup_cells, run_sweep, run_sweep_cached, DiskCache,
 };
-use vopp_bench::{tables, MetricsSink, Scale};
+use vopp_bench::{family, MetricsSink, Scale};
 
 /// Render the quick netgen sweep with `jobs` pool workers, mirroring
 /// `tables netgen --quick --trace ... --metrics ...`. Returns the table
@@ -22,15 +22,18 @@ fn netgen_artifacts(jobs: usize, base: &Path) -> (String, BTreeMap<String, Strin
     let traces = base.join("traces");
     let metrics = base.join("metrics");
     let sink = Arc::new(MetricsSink::new());
-    let mut scale = Scale {
+    let scale = Scale {
         quick: true,
         trace_dir: Some(traces.clone()),
         metrics: Some(sink.clone()),
         ..Scale::default()
     };
     let specs = dedup_cells(&cells_for("netgen", &scale));
-    scale.cache = Some(Arc::new(run_sweep(&scale, &specs, jobs)));
-    let text = tables::table_netgen(&scale).to_string();
+    let cache = run_sweep(&scale, &specs, jobs);
+    let text = family("netgen")
+        .expect("netgen")
+        .render(&scale, &cache)
+        .to_string();
     std::fs::create_dir_all(&metrics).expect("create metrics dir");
     sink.write_all(&metrics).expect("write metrics artifacts");
     let mut files = BTreeMap::new();
@@ -92,7 +95,7 @@ fn netgen_warm_disk_cache_replays_byte_identical_artifacts() {
 
     let run = |metrics_dir: &Path| {
         let sink = Arc::new(MetricsSink::new());
-        let mut scale = Scale {
+        let scale = Scale {
             quick: true,
             metrics: Some(sink.clone()),
             ..Scale::default()
@@ -102,8 +105,10 @@ fn netgen_warm_disk_cache_replays_byte_identical_artifacts() {
         let cache = run_sweep_cached(&scale, &specs, 2, Some(&mut disk));
         let simulated = cache.simulated_cells;
         assert_eq!(cache.warm_cells + simulated, specs.len());
-        scale.cache = Some(Arc::new(cache));
-        let text = tables::table_netgen(&scale).to_string();
+        let text = family("netgen")
+            .expect("netgen")
+            .render(&scale, &cache)
+            .to_string();
         std::fs::create_dir_all(metrics_dir).expect("create metrics dir");
         sink.write_all(metrics_dir)
             .expect("write metrics artifacts");

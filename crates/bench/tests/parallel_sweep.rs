@@ -11,22 +11,36 @@ use vopp_bench::sweep::{
     cells_for, context_hash, dedup_cells, run_sweep, run_sweep_cached, write_wallclock, DiskCache,
     WALLCLOCK_SCHEMA,
 };
-use vopp_bench::{all_tables, MetricsSink, Scale};
+use vopp_bench::{family, MetricsSink, RunCache, Scale};
 use vopp_trace::json::Value;
 
 const ALL_TABLES: [&str; 9] = [
     "table1", "table2", "table3", "table4", "table5", "table6", "table7", "table8", "table9",
 ];
 
+/// Render the nine paper tables from one swept cache, in paper order.
+fn render_all(scale: &Scale, cache: &RunCache) -> String {
+    ALL_TABLES
+        .iter()
+        .map(|name| {
+            family(name)
+                .expect("paper table")
+                .render(scale, cache)
+                .to_string()
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
 /// Render the full quick sweep with `jobs` workers, mirroring the `tables`
-/// binary: precompute the de-duplicated cell list on the pool, then let the
-/// table functions consume the cache sequentially. Returns the concatenated
+/// binary: precompute the de-duplicated cell list on the pool, then render
+/// each table from the cache in paper order. Returns the concatenated
 /// table text plus every metrics/trace file, keyed by relative name.
 fn sweep_artifacts(jobs: usize, base: &Path) -> (String, BTreeMap<String, String>) {
     let traces = base.join("traces");
     let metrics = base.join("metrics");
     let sink = Arc::new(MetricsSink::new());
-    let mut scale = Scale {
+    let scale = Scale {
         quick: true,
         trace_dir: Some(traces.clone()),
         metrics: Some(sink.clone()),
@@ -41,12 +55,7 @@ fn sweep_artifacts(jobs: usize, base: &Path) -> (String, BTreeMap<String, String
     let cache = run_sweep(&scale, &specs, jobs);
     assert_eq!(cache.jobs, jobs.min(specs.len()));
     write_wallclock(&cache, &[], &metrics).expect("write wallclock artifact");
-    scale.cache = Some(Arc::new(cache));
-    let text = all_tables(&scale)
-        .iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join("\n");
+    let text = render_all(&scale, &cache);
     sink.write_all(&metrics).expect("write metrics artifacts");
     let mut files = BTreeMap::new();
     for (dir, tag) in [(&metrics, "metrics"), (&traces, "traces")] {
@@ -119,7 +128,7 @@ fn cached_sweep_artifacts(
     metrics: &Path,
 ) -> (String, BTreeMap<String, String>, usize) {
     let sink = Arc::new(MetricsSink::new());
-    let mut scale = Scale {
+    let scale = Scale {
         quick: true,
         metrics: Some(sink.clone()),
         ..Scale::default()
@@ -134,12 +143,7 @@ fn cached_sweep_artifacts(
     let cache = run_sweep_cached(&scale, &specs, jobs, Some(&mut disk));
     let simulated = cache.simulated_cells;
     assert_eq!(cache.warm_cells + simulated, specs.len());
-    scale.cache = Some(Arc::new(cache));
-    let text = all_tables(&scale)
-        .iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join("\n");
+    let text = render_all(&scale, &cache);
     sink.write_all(metrics).expect("write metrics artifacts");
     let mut files = BTreeMap::new();
     for entry in std::fs::read_dir(metrics).expect("read metrics dir") {

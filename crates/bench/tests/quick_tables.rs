@@ -2,11 +2,14 @@
 //! paper table must generate (each run is internally validated against its
 //! sequential reference) and contain the expected rows and columns.
 
-use vopp_bench::{all_tables, Scale};
+use vopp_bench::{sweep_table, Scale};
 
 #[test]
 fn all_nine_tables_generate_at_quick_scale() {
-    let tables = all_tables(&Scale::quick());
+    let scale = Scale::quick();
+    let tables: Vec<_> = (1..=9)
+        .map(|n| sweep_table(&format!("table{n}"), &scale))
+        .collect();
     assert_eq!(tables.len(), 9);
     // Paper order and shape.
     assert!(tables[0].title.starts_with("Table 1"));
@@ -58,7 +61,7 @@ fn all_nine_tables_generate_at_quick_scale() {
 
 #[test]
 fn tables_render_and_serialize() {
-    let t = vopp_bench::tables::table2(&Scale::quick());
+    let t = sweep_table("table2", &Scale::quick());
     let text = t.to_string();
     assert!(text.contains("VC_sd"));
     let json = t.to_value().to_json();
@@ -77,7 +80,7 @@ fn traced_quick_table1_passes_conformance() {
         trace_dir: Some(dir.clone()),
         ..Scale::default()
     };
-    let t = vopp_bench::tables::table1(&scale);
+    let t = sweep_table("table1", &scale);
     assert!(t.title.starts_with("Table 1"));
     let np = scale.stats_procs();
     for stem in [

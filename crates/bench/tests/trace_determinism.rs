@@ -10,7 +10,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use vopp_bench::Scale;
+use vopp_bench::{sweep_table, Scale};
 use vopp_core::prelude::*;
 use vopp_core::{FaultPlan, VoppExt};
 use vopp_metrics::Histogram;
@@ -24,7 +24,7 @@ fn run_table1_traced(dir: &Path) {
         trace_dir: Some(dir.to_path_buf()),
         ..Scale::default()
     };
-    let t = vopp_bench::tables::table1(&scale);
+    let t = sweep_table("table1", &scale);
     assert!(t.title.starts_with("Table 1"));
 }
 

@@ -82,40 +82,6 @@ pub struct ViewHome {
     pub last_write_release: BTreeMap<ProcId, u32>,
 }
 
-/// True when `VOPP_TRACE` is set: protocol events are logged to stderr.
-pub fn trace_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("VOPP_TRACE").is_some())
-}
-
-fn trace_req(now: vopp_sim::SimTime, me: ProcId, src: ProcId, req: &Req) {
-    let what = match req {
-        Req::LockAcquire { lock, .. } => format!("lock-acquire {lock}"),
-        Req::LockRelease { lock, records } => {
-            format!("lock-release {lock} (+{} records)", records.len())
-        }
-        Req::BarrierArrive {
-            episode, records, ..
-        } => {
-            format!("barrier-arrive #{episode} (+{} records)", records.len())
-        }
-        Req::ViewAcquire { view, mode, have } => {
-            format!("view-acquire {view} {mode:?} have={have}")
-        }
-        Req::ViewRelease {
-            view, mode, pages, ..
-        } => {
-            format!("view-release {view} {mode:?} ({} pages)", pages.len())
-        }
-        Req::DiffReq { page, intervals } => {
-            format!("diff-req page {page} ({} intervals)", intervals.len())
-        }
-        Req::PageReq { page } => format!("page-req {page}"),
-        Req::HomeFlush { items } => format!("home-flush ({} pages)", items.len()),
-    };
-    eprintln!("[vopp {now}] node {me} <- {src}: {what}");
-}
-
 /// Build the service handler for one node.
 pub fn make_handler(node: Arc<Mutex<NodeState>>) -> Handler {
     Box::new(move |svc, pkt| {
@@ -123,9 +89,6 @@ pub fn make_handler(node: Arc<Mutex<NodeState>>) -> Handler {
         let src = pkt.src;
         let req = pkt.expect::<Req>();
         let mut n = node.lock();
-        if trace_enabled() {
-            trace_req(svc.now(), n.me, src, &req);
-        }
         handle(&mut n, svc, src, tag, req);
     })
 }

@@ -142,12 +142,6 @@ impl NetModel for EthernetModel {
                         },
                     );
                 }
-                if std::env::var_os("VOPP_NET_DEBUG").is_some() {
-                    eprintln!(
-                        "[net] drop at {}: {} -> {} ({} B, {} B pending at dst, p={p:.3})",
-                        req.now, req.src, req.dst, req.wire_bytes, req.pending_bytes_at_dst
-                    );
-                }
                 return None;
             }
         }
